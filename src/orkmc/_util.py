@@ -37,18 +37,6 @@ def _content_keys(x: np.ndarray, seed: int, tag: str) -> np.ndarray:
     return np.array([_row_hash01(seed, tag, rows[i].tobytes()) for i in range(rows.shape[0])])
 
 
-def _weighted_pick(keys: np.ndarray, weights: np.ndarray, taken: np.ndarray) -> int:
-    # Efraimidis-Spirakis exponential keys: argmax over log(u)/w draws index i
-    # with probability proportional to w_i, deterministically given the keys.
-    score = np.full(keys.shape, -np.inf)
-    ok = (~taken) & (weights > 0)
-    score[ok] = np.log(keys[ok]) / weights[ok]
-    if not np.any(np.isfinite(score)):
-        # all candidate weights vanished (duplicate rows): fall back to uniform keys
-        score[~taken] = keys[~taken]
-    return int(np.argmax(score))
-
-
 def select_initial_rows(
     x: np.ndarray,
     k: int,
@@ -85,6 +73,8 @@ def select_initial_rows(
     n_candidates = 2 + int(math.ceil(math.log(max(k, 2))))
     for step in range(1, k):
         keys = _content_keys(x, seed, f"{tag}:{step}")
+        # Efraimidis-Spirakis exponential keys: ordering by log(u)/w draws
+        # row i with probability proportional to w_i = d2_i.
         score = np.full(n, -np.inf)
         ok = (~taken) & (d2 > 0)
         score[ok] = np.log(keys[ok]) / d2[ok]

@@ -24,6 +24,7 @@ import numpy as np
 from . import metrics
 from ._util import rng_for, select_initial_rows
 from .errors import ConfigError, DataWarning
+from .kernels import sq_dists
 from .model import (
     AssignmentMatrix,
     CenterSet,
@@ -36,18 +37,9 @@ MU_DELTA = 1e-12
 ZERO_DIST = 1e-30
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = (
-        (x * x).sum(axis=1)[:, None]
-        - 2.0 * x @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    return np.maximum(d, 0.0)
-
-
 def nearest_center_labels(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of each row's nearest center (lowest index on ties)."""
-    return np.argmin(_sq_dists(x, centers), axis=1)
+    return np.argmin(sq_dists(x, centers), axis=1)
 
 
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -100,7 +92,7 @@ def kmeans_fit(
     labels = None
     trace: list[float] = []
     for _ in range(max_iter):
-        d = _sq_dists(x, centers)
+        d = sq_dists(x, centers)
         new_labels = np.argmin(d, axis=1)
         own = d[np.arange(x.shape[0]), new_labels]
         reseeded = False
@@ -166,7 +158,7 @@ def _log_power_mean(d: np.ndarray, s: float) -> np.ndarray:
 
 def power_mean_objective(x: np.ndarray, centers: np.ndarray, s: float) -> float:
     """Sum over samples of the power mean of squared center distances."""
-    lpm = _log_power_mean(_sq_dists(x, centers), s)
+    lpm = _log_power_mean(sq_dists(x, centers), s)
     vals = np.exp(lpm[np.isfinite(lpm)])
     return float(vals.sum())
 
@@ -189,7 +181,7 @@ def _power_weights(d: np.ndarray, s: float) -> np.ndarray:
 def power_mm_step(x: np.ndarray, centers: np.ndarray, s: float) -> np.ndarray:
     """One majorization-minimization step at fixed ``s``: centers move to the
     coefficient-weighted means.  The power-mean objective never increases."""
-    w = _power_weights(_sq_dists(x, centers), s)
+    w = _power_weights(sq_dists(x, centers), s)
     wsum = w.sum(axis=0)
     out = centers.copy()
     live = wsum > 0

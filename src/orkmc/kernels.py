@@ -1,15 +1,25 @@
 """Constrained-optimization primitives shared by the solvers.
 
-Three operations live here:
+Each operation the offline solver, the online solver and the baselines need
+has exactly one implementation here:
 
 * :func:`project_simplex` -- exact Euclidean projection onto the probability
-  simplex by the sort-and-threshold method (O(K log K)).
-* :func:`solve_row_qp` -- minimizer of a strictly convex quadratic
-  ``1/2 u' H u - c' u`` over the simplex via projected gradient with fixed
-  step 1/L; this is the per-row subproblem of the assignment update.
+  simplex by the sort-and-threshold method (O(K log K)); ``_project`` is the
+  unvalidated form that projects every vector along the last axis.
+* :func:`assignment_qp` -- the Hessian ``H = 2 (sum_v w_v M_v M_v' + eta I)``
+  and linear terms ``c = 2 sum_v w_v X_v M_v'`` of the assignment rows'
+  quadratic ``1/2 u' H u - c' u``.
+* :func:`pg_step` -- the projected-gradient step length ``1/lambda_max(H)``.
+* ``_pgd_rows`` -- projected gradient on a batch of rows, either to a
+  fixed-point tolerance or for a fixed number of sweeps.
+* :func:`solve_row_qp` -- minimizer of one row QP over the simplex.
+* :func:`solve_ridge_normal` -- Cholesky solve of symmetric PSD normal
+  equations, with a flagged ridge fallback when they are singular.
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
-  by the Lawson-Hanson active-set method (exact termination), with a ridge
-  fallback for degenerate normal equations.
+  by the Lawson-Hanson active-set method (exact termination).
+* :func:`sq_dists` -- squared Euclidean distances from rows to centers.
+* :func:`data_nonneg` -- the rule that centers are kept nonnegative exactly
+  when the data is.
 
 All functions are pure and re-entrant; callers may run rows or columns in
 parallel and results do not depend on the schedule.
@@ -33,17 +43,20 @@ from .errors import (
 RIDGE_DELTA = 1e-10
 
 
-def _project_rows(y: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean projection onto the simplex (no input validation)."""
-    k = y.shape[1]
-    s = -np.sort(-y, axis=1)
-    css = np.cumsum(s, axis=1) - 1.0
-    idx = np.arange(1, k + 1, dtype=np.float64)
-    cond = s - css / idx > 0
-    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(y.shape[0]), rho] / (rho + 1.0)
-    out = np.maximum(y - tau[:, None], 0.0)
-    out /= out.sum(axis=1, keepdims=True)
+def _project(y: np.ndarray) -> np.ndarray:
+    """Project each vector along the last axis of ``y`` onto the simplex (no
+    input validation).
+
+    The threshold is ``tau = max_j (s_1 + ... + s_j - 1) / j`` over the
+    descending sort ``s`` (Wang & Carreira-Perpinan 2013).
+    """
+    s = np.sort(y, axis=-1)[..., ::-1]
+    css = s.cumsum(axis=-1)
+    css -= 1.0
+    css /= np.arange(1.0, y.shape[-1] + 1.0)
+    out = y - css.max(axis=-1, keepdims=True)
+    np.maximum(out, 0.0, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
@@ -58,12 +71,33 @@ def project_simplex(y) -> np.ndarray:
         raise DimensionError("cannot project an empty vector")
     if not np.all(np.isfinite(v)):
         raise ValidationError("cannot project a vector with non-finite entries")
-    return _project_rows(v[None, :])[0]
+    return _project(v)
 
 
-def gershgorin_bound(h: np.ndarray) -> float:
-    """Row-sum upper bound on the largest eigenvalue of a symmetric matrix."""
-    return float(np.max(np.sum(np.abs(h), axis=1)))
+def assignment_qp(xs, centers, w, eta: float) -> tuple:
+    """Row-QP data ``(H, c)`` of the assignment update at fixed centers.
+
+    ``H = 2 (sum_v w_v M_v M_v' + eta I)`` is shared by every row and
+    ``c = 2 sum_v w_v X_v M_v'`` has one row per data row (a 1-D ``c`` when
+    every ``X_v`` is a single sample).  The offline solver uses ``w = 1``, the
+    online solver ``w = alpha ** r``.
+    """
+    k = centers[0].shape[0]
+    h = 2.0 * eta * np.eye(k)
+    c = 0.0
+    for wv, x, mv in zip(w, xs, centers):
+        h += 2.0 * wv * (mv @ mv.T)
+        c += 2.0 * wv * (x @ mv.T)
+    return h, c
+
+
+def pg_step(h: np.ndarray) -> float:
+    """Projected-gradient step ``1 / lambda_max(H)`` for a symmetric PSD ``H``.
+
+    Each step with this length never increases the row objective.
+    """
+    lmax = float(np.linalg.eigvalsh(h)[-1])
+    return 1.0 / max(lmax * (1.0 + 1e-12), np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -107,20 +141,24 @@ def _pgd_rows(
     tol: float,
     max_inner: int,
 ) -> tuple:
-    """Projected gradient on rows of ``u0``; each row minimizes its own QP.
+    """Projected gradient on the rows of ``u0`` (1-D: one row); each row
+    minimizes ``1/2 u' H u - c_i' u`` over the simplex.
 
-    Returns ``(u, converged, n_iters)``.  The fixed-point residual
-    ``||u - P(u - step * (u H - c))||`` is non-increasing along the iterates,
-    so the returned iterate certifies the tolerance when ``converged``.
+    Returns ``(u, converged, n_iters)``.  With ``tol > 0`` it stops once the
+    fixed-point residual ``||u - P(u - step * (u H - c))||`` of every row is
+    at most ``tol``; the residual is non-increasing along the iterates, so the
+    returned iterate certifies the tolerance when ``converged``.  With
+    ``tol <= 0`` it runs exactly ``max_inner`` sweeps, computes no residual
+    and reports ``converged=False``.
     """
     u = u0
     for it in range(max_inner):
-        grad = u @ h - c
-        u_next = _project_rows(u - step * grad)
-        res = np.max(np.sqrt(np.sum((u_next - u) ** 2, axis=1)))
+        u_next = _project(u - step * (u @ h - c))
+        if tol > 0:
+            res = np.max(np.sqrt(np.sum((u_next - u) ** 2, axis=-1)))
+            if res <= tol:
+                return u_next, True, it + 1
         u = u_next
-        if res <= tol:
-            return u, True, it + 1
     return u, False, max_inner
 
 
@@ -143,36 +181,29 @@ def solve_row_qp(qp: RowQP, u0, tol: float = 1e-10, max_inner: int = 100_000) ->
         raise DimensionError(f"u0 has length {start.shape[0]}, expected {qp.k}")
     if np.any(start < -1e-9) or abs(float(start.sum()) - 1.0) > 1e-6:
         raise ValidationError("u0 must lie on the probability simplex")
-    start = _project_rows(start[None, :])
-    lmax = float(np.linalg.eigvalsh(qp.h)[-1])
-    step = 1.0 / max(lmax * (1.0 + 1e-12), np.finfo(float).tiny)
-    u, converged, _ = _pgd_rows(start, qp.h, qp.c[None, :], step, tol, max_inner)
+    u, converged, _ = _pgd_rows(_project(start), qp.h, qp.c, pg_step(qp.h), tol, max_inner)
     if not converged:
         warnings.warn(
             f"row QP unconverged after {max_inner} projected-gradient steps",
             ConvergenceWarning,
             stacklevel=2,
         )
-    return u[0]
+    return u
 
 
-def _ls_on_support(a: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Least squares restricted to the support columns via normal equations;
-    falls back to a ridge-regularized solve (flagged) when they are singular."""
-    sub = a[:, support]
-    g = sub.T @ sub
+def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> np.ndarray:
+    """Solve ``G x = rhs`` for symmetric PSD ``G``; ridge-fallback when singular."""
     try:
         cf = np.linalg.cholesky(g)
-        y = np.linalg.solve(cf, sub.T @ b)
+        y = np.linalg.solve(cf, rhs)
         return np.linalg.solve(cf.T, y)
     except np.linalg.LinAlgError:
         warnings.warn(
-            f"nnls normal equations are rank-deficient; applying ridge fallback "
-            f"(delta={RIDGE_DELTA})",
+            f"singular {what}; applying ridge fallback (delta={RIDGE_DELTA})",
             RidgeFallbackWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-        return np.linalg.solve(g + RIDGE_DELTA * np.eye(g.shape[0]), sub.T @ b)
+        return np.linalg.solve(g + RIDGE_DELTA * np.eye(g.shape[0]), rhs)
 
 
 def nnls(a, b, tol: float = 1e-10) -> np.ndarray:
@@ -180,8 +211,8 @@ def nnls(a, b, tol: float = 1e-10) -> np.ndarray:
 
     The KKT conditions hold within ``tol`` at the solution: ``m >= 0``,
     ``g = A'(A m - b) >= -tol`` and ``m * g <= tol`` element-wise.  Degenerate
-    normal equations fall back to a ridge-regularized system (delta = 1e-10)
-    and emit :class:`RidgeFallbackWarning`.
+    normal equations on the support fall back to a ridge-regularized system
+    (delta = 1e-10) and emit :class:`RidgeFallbackWarning`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -209,7 +240,8 @@ def nnls(a, b, tol: float = 1e-10) -> np.ndarray:
         while budget > 0:
             budget -= 1
             support = np.flatnonzero(passive)
-            z = _ls_on_support(a, b, support)
+            sub = a[:, support]
+            z = solve_ridge_normal(sub.T @ sub, sub.T @ b, what="nnls normal equations")
             if np.all(z > 0):
                 x[:] = 0.0
                 x[support] = z
@@ -233,16 +265,18 @@ def nnls(a, b, tol: float = 1e-10) -> np.ndarray:
     return x
 
 
-def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> np.ndarray:
-    """Solve ``G x = rhs`` for symmetric PSD ``G``; ridge-fallback when singular."""
-    try:
-        cf = np.linalg.cholesky(g)
-        y = np.linalg.solve(cf, rhs)
-        return np.linalg.solve(cf.T, y)
-    except np.linalg.LinAlgError:
-        warnings.warn(
-            f"singular {what}; applying ridge fallback (delta={RIDGE_DELTA})",
-            RidgeFallbackWarning,
-            stacklevel=2,
-        )
-        return np.linalg.solve(g + RIDGE_DELTA * np.eye(g.shape[0]), rhs)
+def sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from every row of ``x`` to every center,
+    clamped at zero against cancellation."""
+    d = (
+        (x * x).sum(axis=1)[:, None]
+        - 2.0 * x @ centers.T
+        + (centers * centers).sum(axis=1)[None, :]
+    )
+    return np.maximum(d, 0.0)
+
+
+def data_nonneg(views) -> bool:
+    """The default center constraint: centers are kept nonnegative exactly
+    when every view of the data is nonnegative."""
+    return all(float(x.min()) >= 0.0 for x in views)

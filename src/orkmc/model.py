@@ -179,10 +179,10 @@ class ViewWeights:
 class HyperParams:
     """Solver hyperparameters, named after the original interface.
 
-    ``gamma=None`` selects an automatic per-row step length (the inverse of a
-    Gershgorin bound on the row Hessian); an explicit positive value is used
-    verbatim.  ``chushi`` is the initial batch size and only meaningful for the
-    online solvers.
+    ``gamma=None`` selects an automatic per-row step length (the inverse of
+    the largest eigenvalue of the row Hessian); an explicit positive value is
+    used verbatim.  ``chushi`` is the initial batch size and only meaningful
+    for the online solvers.
     """
 
     k: int

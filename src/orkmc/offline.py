@@ -22,8 +22,16 @@ import numpy as np
 
 from . import metrics
 from ._util import select_initial_rows, rng_for
-from .errors import ConfigError, DataWarning, DegenerateClusterWarning
-from .kernels import _pgd_rows, nnls, solve_ridge_normal
+from .errors import ConfigError, ConvergenceWarning, DataWarning, DegenerateClusterWarning
+from .kernels import (
+    _pgd_rows,
+    assignment_qp,
+    data_nonneg,
+    nnls,
+    pg_step,
+    solve_ridge_normal,
+    sq_dists,
+)
 from .model import (
     AssignmentMatrix,
     CenterSet,
@@ -36,6 +44,8 @@ from .model import (
 
 DEAD_MASS = 1e-12
 RESEED_AFTER = 3
+INNER_TOL = 1e-7
+MAX_INNER = 2000
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,6 @@ class RkmcConfig:
     n_restarts: int = 2
     initial_centers: Optional[CenterSet] = None
     track_labels: bool = False
-    inner_tol: float = 1e-7
-    max_inner: int = 2000
 
     def __post_init__(self):
         if self.init not in ("kmeans++", "random-rows", "random-uniform-U"):
@@ -67,8 +75,6 @@ class RkmcConfig:
             raise ConfigError(f"assignment must be 'soft' or 'hard', got {self.assignment!r}")
         if self.n_restarts < 1:
             raise ConfigError("n_restarts must be >= 1")
-        if not (self.inner_tol > 0 and self.max_inner >= 1):
-            raise ConfigError("inner_tol must be > 0 and max_inner >= 1")
 
 
 def update_U(
@@ -79,39 +85,36 @@ def update_U(
     *,
     mode: str = "soft",
     weights: Optional[np.ndarray] = None,
-    tol: float = 1e-7,
-    max_inner: int = 2000,
+    tol: float = INNER_TOL,
+    max_inner: int = MAX_INNER,
 ) -> AssignmentMatrix:
     """Minimize every assignment row at fixed centers; never increases the objective.
 
     Soft mode solves the per-row simplex QP with Hessian
     ``2 (sum_v w_v M_v M_v' + eta I)`` by projected gradient (all rows vectorized,
-    warm-started from ``u_prev``).  Hard mode picks the best simplex vertex,
-    i.e. the nearest center.
+    warm-started from ``u_prev``) and emits :class:`ConvergenceWarning` when
+    ``max_inner`` sweeps end before the fixed-point residual reaches ``tol``.
+    Hard mode picks the best simplex vertex, i.e. the nearest center.
     """
     k = m.k
     n = data.n_samples
     w = np.ones(data.n_views) if weights is None else np.asarray(weights, dtype=np.float64)
     if mode == "hard":
-        d = np.zeros((n, k))
-        for wv, x, mv in zip(w, data.views, m.centers):
-            d += wv * (
-                (x * x).sum(axis=1)[:, None] - 2.0 * x @ mv.T + (mv * mv).sum(axis=1)[None, :]
-            )
+        d = sum(wv * sq_dists(x, mv) for wv, x, mv in zip(w, data.views, m.centers))
         labels = np.argmin(d, axis=1)
         u = np.zeros((n, k))
         u[np.arange(n), labels] = 1.0
         return AssignmentMatrix(u, labels)
 
-    h = 2.0 * eta * np.eye(k)
-    c = np.zeros((n, k))
-    for wv, x, mv in zip(w, data.views, m.centers):
-        h += 2.0 * wv * (mv @ mv.T)
-        c += 2.0 * wv * (x @ mv.T)
+    h, c = assignment_qp(data.views, m.centers, w, eta)
     start = np.full((n, k), 1.0 / k) if u_prev is None else u_prev.entries
-    lmax = float(np.linalg.eigvalsh(h)[-1])
-    step = 1.0 / max(lmax * (1.0 + 1e-12), np.finfo(float).tiny)
-    u, _, _ = _pgd_rows(start, h, c, step, tol, max_inner)
+    u, converged, _ = _pgd_rows(start, h, c, pg_step(h), tol, max_inner)
+    if not converged:
+        warnings.warn(
+            f"assignment update unconverged after {max_inner} projected-gradient sweeps",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
     return AssignmentMatrix(u)
 
 
@@ -160,10 +163,9 @@ def update_M(
 
 
 def _init_centers(
-    data: MultiViewDataset, cfg: RkmcConfig, tag: str
+    data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool
 ) -> CenterSet:
     hyper = cfg.hyper
-    nonneg = _auto_nonneg(data, cfg)
     if cfg.init == "random-uniform-U":
         rng = rng_for(hyper.seed, tag + ":dirichlet")
         u0 = AssignmentMatrix(rng.dirichlet(np.ones(hyper.k), size=data.n_samples))
@@ -171,12 +173,6 @@ def _init_centers(
     method = "uniform" if cfg.init == "random-rows" else "kmeans++"
     idx = select_initial_rows(data.stacked(), hyper.k, hyper.seed, tag, method=method)
     return CenterSet(tuple(x[idx].copy() for x in data.views), nonneg_enforced=nonneg)
-
-
-def _auto_nonneg(data: MultiViewDataset, cfg: RkmcConfig) -> bool:
-    if cfg.enforce_center_nonneg is not None:
-        return cfg.enforce_center_nonneg
-    return all(float(x.min()) >= 0.0 for x in data.views)
 
 
 def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet) -> np.ndarray:
@@ -187,14 +183,12 @@ def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet)
     return r
 
 
-def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str) -> dict:
+def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool) -> dict:
     hyper = cfg.hyper
-    nonneg = _auto_nonneg(data, cfg)
-    m = cfg.initial_centers if cfg.initial_centers is not None else _init_centers(data, cfg, tag)
-    u = update_U(
-        data, m, None, hyper.eta,
-        mode=cfg.assignment, tol=cfg.inner_tol, max_inner=cfg.max_inner,
-    )
+    m = cfg.initial_centers
+    if m is None:
+        m = _init_centers(data, cfg, tag, nonneg)
+    u = update_U(data, m, None, hyper.eta, mode=cfg.assignment)
     trace = [objective_rkmc(data, u, m, hyper.eta)]
     labels_hist = [u.hard_labels.copy()] if cfg.track_labels else None
     empty_streak = np.zeros(hyper.k, dtype=int)
@@ -206,10 +200,7 @@ def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str) -> dict:
             float(np.linalg.norm(a - b)) for a, b in zip(m_new.centers, m.centers)
         )
         m = m_new
-        u = update_U(
-            data, m, u, hyper.eta,
-            mode=cfg.assignment, tol=cfg.inner_tol, max_inner=cfg.max_inner,
-        )
+        u = update_U(data, m, u, hyper.eta, mode=cfg.assignment)
         trace.append(objective_rkmc(data, u, m, hyper.eta))
         if labels_hist is not None:
             labels_hist.append(u.hard_labels.copy())
@@ -261,14 +252,17 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
             DataWarning,
             stacklevel=2,
         )
+    nonneg = cfg.enforce_center_nonneg
+    if nonneg is None:
+        nonneg = data_nonneg(data.views)
     t0 = time.perf_counter()
     if cfg.initial_centers is not None:
-        best = _fit_once(data, cfg, "rkmc-init")
+        best = _fit_once(data, cfg, "rkmc-init", nonneg)
         restart_used = 0
     else:
         best, restart_used = None, -1
         for r in range(cfg.n_restarts):
-            fit = _fit_once(data, cfg, f"rkmc-init-{r}")
+            fit = _fit_once(data, cfg, f"rkmc-init-{r}", nonneg)
             if best is None or fit["trace"][-1] < best["trace"][-1]:
                 best, restart_used = fit, r
     elapsed = time.perf_counter() - t0
@@ -280,7 +274,7 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
         "assignment": cfg.assignment,
         "n_restarts": cfg.n_restarts,
         "restart_used": restart_used,
-        "enforce_center_nonneg": _auto_nonneg(data, cfg),
+        "enforce_center_nonneg": nonneg,
         "reseed_steps": list(best["reseed_steps"]),
         "converged": best["converged"],
         "r_unused": float(hyper.r),  # accepted for interface parity, no role offline

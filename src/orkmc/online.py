@@ -4,9 +4,10 @@ The solver warm-starts on an initial batch of ``chushi`` samples, then
 consumes arrivals one at a time: the new sample's assignment row is obtained
 by a few projected-gradient steps on its simplex-constrained QP, the winning
 cluster's centers move by a counts-weighted running mean, and the view weights
-are refreshed from the cumulative per-view residuals.  Per-arrival work is
-O(n_grad * K * sum(J_v)) and the state holds only sufficient statistics plus
-the rows emitted so far.
+are refreshed from the cumulative per-view residuals.  Each arrival rebuilds
+the row Hessian from the current centers and weights in O(K^2 * sum(J_v)),
+then its n_grad steps cost O(n_grad * K^2); the state holds only sufficient
+statistics plus the rows emitted so far.
 
 An :class:`OnlineState` is single-writer: steps mutate it sequentially in
 arrival order.  Distinct states may run in parallel.
@@ -23,7 +24,7 @@ import numpy as np
 from . import metrics
 from ._util import select_initial_rows
 from .errors import ConfigError, ValidationError
-from .kernels import _pgd_rows, gershgorin_bound
+from .kernels import _pgd_rows, assignment_qp, data_nonneg, pg_step
 from .model import (
     AssignmentMatrix,
     CenterSet,
@@ -66,15 +67,6 @@ def weights_from_residuals(d: np.ndarray, r: float) -> np.ndarray:
     return a / a.sum()
 
 
-def _project_vec(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    s = np.sort(y)[::-1]
-    css = np.cumsum(s) - 1.0
-    rho = np.nonzero(s - css / idx > 0)[0][-1]
-    out = np.maximum(y - css[rho] / (rho + 1.0), 0.0)
-    out /= out.sum()
-    return out
-
-
 @dataclass
 class OnlineState:
     """Streaming solver state; ``t`` arrivals processed so far."""
@@ -89,7 +81,7 @@ class OnlineState:
     u_sq_sum: float
     n_grad: int
     frozen: bool = False
-    stats: dict = field(default_factory=lambda: {"steps": 0, "grad_steps": 0, "rows_touched": 0})
+    stats: dict = field(default_factory=lambda: {"steps": 0, "grad_steps": 0})
 
     def surrogate_objective(self) -> float:
         """Cumulative weighted at-assignment residual plus the regularizer.
@@ -101,27 +93,26 @@ class OnlineState:
         return float(a @ self.resid_sums + self.hyper.eta * self.u_sq_sum)
 
 
-def _step_matrices(state: OnlineState):
+def _row_qp(state: OnlineState, xs) -> tuple:
+    """``(H, c, step)`` of the assignment QP of the samples ``xs`` (one array
+    per view) under the state's centers and view weights."""
     a = state.weights.alpha ** state.weights.r
-    k = state.hyper.k
-    b = np.zeros((k, k))
-    for av, mv in zip(a, state.centers.centers):
-        b += av * (mv @ mv.T)
-    h = 2.0 * (b + state.hyper.eta * np.eye(k))
-    return a, b, h
+    h, c = assignment_qp(xs, state.centers.centers, a, state.hyper.eta)
+    step = state.hyper.gamma if state.hyper.gamma is not None else pg_step(h)
+    return h, c, step
 
 
 def orkmc_init(
     data_prefix: MultiViewDataset,
     hyper: HyperParams,
     n_grad: Optional[int] = None,
-    enforce_center_nonneg: Optional[bool] = None,
 ) -> OnlineState:
     """Warm-start on the initial batch.
 
-    Centers are seeded from K distinct prefix rows, the view weights start
-    uniform at 1/V, and every prefix row receives the same projected-gradient
-    assignment update (from the uniform row) that streamed arrivals get.
+    Centers are seeded from K distinct prefix rows (kept nonnegative exactly
+    when the prefix data is), the view weights start uniform at 1/V, and every
+    prefix row receives the same projected-gradient assignment update (from
+    the uniform row) that streamed arrivals get.
     """
     k = hyper.k
     t0 = data_prefix.n_samples
@@ -132,11 +123,7 @@ def orkmc_init(
             f"prefix has {t0} rows but chushi={hyper.chushi}"
         )
     n_grad = _resolve_n_grad(hyper, n_grad)
-    nonneg = (
-        all(float(x.min()) >= 0.0 for x in data_prefix.views)
-        if enforce_center_nonneg is None
-        else enforce_center_nonneg
-    )
+    nonneg = data_nonneg(data_prefix.views)
     idx = select_initial_rows(data_prefix.stacked(), k, hyper.seed, "orkmc-init")
     centers = CenterSet(
         tuple(x[idx].copy() for x in data_prefix.views), nonneg_enforced=nonneg
@@ -162,13 +149,7 @@ def orkmc_init(
     u = np.full((t0, k), 1.0 / k)
     hard = np.zeros(t0, dtype=np.intp)
     for _ in range(hyper.max_iter):
-        a, _, h = _step_matrices(state)
-        c = np.zeros((t0, k))
-        for av, x, mv in zip(a, data_prefix.views, centers.centers):
-            c += 2.0 * av * (x @ mv.T)
-        step = hyper.gamma
-        if step is None:
-            step = 1.0 / max(gershgorin_bound(h), np.finfo(float).tiny)
+        h, c, step = _row_qp(state, data_prefix.views)
         u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, 0.0, n_grad)
         hard = np.argmax(u, axis=1)
         drift = 0.0
@@ -216,20 +197,8 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
 
     hyper = state.hyper
     k = hyper.k
-    a, b, h = _step_matrices(state)
-    c = np.zeros(k)
-    for av, x, mv in zip(a, xs, state.centers.centers):
-        c += av * (mv @ x)
-    step = hyper.gamma
-    if step is None:
-        step = 1.0 / max(gershgorin_bound(h), np.finfo(float).tiny)
-
-    idx = np.arange(1.0, k + 1.0)
-    u = np.full(k, 1.0 / k)
-    eta = hyper.eta
-    for _ in range(state.n_grad):
-        g = 2.0 * (b @ u + eta * u - c)
-        u = _project_vec(u - step * g, idx)
+    h, c, step = _row_qp(state, xs)
+    u, _, _ = _pgd_rows(np.full(k, 1.0 / k), h, c, step, 0.0, state.n_grad)
 
     k_star = int(np.argmax(u))
     state.counts[k_star] += 1
@@ -249,7 +218,6 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     state.t += 1
     state.stats["steps"] += 1
     state.stats["grad_steps"] += state.n_grad
-    state.stats["rows_touched"] = 1
     return state
 
 

@@ -242,7 +242,7 @@ def test_c08_kernel_oracles():
 def test_c09_qcm_anchor():
     path = _qcm_path()
     if path is None:
-        print("ACCEPTANCE C9 QCM anchor: SKIP (QCM file not present; see scripts/fetch_qcm.py)")
+        print("ACCEPTANCE C9 QCM anchor: SKIP (QCM.csv not found in $ORKM_DATA_DIR, default data/)")
         pytest.skip("QCM data file not downloaded")
     with Criterion("C9 QCM anchor", 30.0) as crit:
         data = load_qcm(path)

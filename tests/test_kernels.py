@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from orkmc.errors import NumericalError, ValidationError
-from orkmc.kernels import RowQP, nnls, project_simplex, solve_row_qp
+from orkmc.errors import NumericalError, RidgeFallbackWarning, ValidationError
+from orkmc.kernels import (
+    RowQP,
+    _project,
+    nnls,
+    project_simplex,
+    solve_ridge_normal,
+    solve_row_qp,
+)
 
 
 def random_pd_qp(rng, k):
@@ -52,6 +59,14 @@ class TestProjectSimplex:
             np.testing.assert_allclose(
                 project_simplex(y), oracles.project_simplex_enum(y), atol=1e-10
             )
+        for _ in range(100):
+            batch = rng.normal(size=(int(rng.integers(1, 8)), int(rng.integers(1, 6))))
+            batch[:, -1] = batch[:, 0]  # tied entries
+            batch *= rng.uniform(0.5, 4)
+            out = _project(batch)
+            for y, row in zip(batch, out):
+                np.testing.assert_allclose(row, oracles.project_simplex_enum(y), atol=1e-10)
+                assert np.array_equal(row, project_simplex(y))
 
 
 class TestSolveRowQP:
@@ -98,6 +113,14 @@ class TestSolveRowQP:
             u = solve_row_qp(qp, u0, tol=1e-10)
             f = lambda v: 0.5 * v @ qp.h @ v - qp.c @ v
             assert f(u) <= f(u0) + 1e-12
+
+
+class TestRidgeFallback:
+    def test_singular_system_warns_and_stays_finite(self):
+        g = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.warns(RidgeFallbackWarning):
+            x = solve_ridge_normal(g, np.array([1.0, 1.0]))
+        assert np.all(np.isfinite(x))
 
 
 class TestNnls:

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
-from orkmc.errors import ConfigError, DataWarning, DegenerateClusterWarning
+from orkmc.errors import (
+    ConfigError,
+    ConvergenceWarning,
+    DataWarning,
+    DegenerateClusterWarning,
+    RidgeFallbackWarning,
+)
 from orkmc.model import (
     AssignmentMatrix,
     CenterSet,
@@ -175,6 +181,14 @@ class TestUpdateU:
         after = objective_rkmc(data, u1, m, 0.5)
         assert after <= before + 1e-9
 
+    def test_exhausted_sweep_budget_warns(self):
+        rng = np.random.default_rng(19)
+        data = MultiViewDataset(views=(rng.normal(size=(20, 2)),))
+        m = CenterSet((rng.normal(size=(3, 2)),))
+        with pytest.warns(ConvergenceWarning):
+            u = update_U(data, m, None, eta=0.5, tol=1e-14, max_inner=1)
+        np.testing.assert_allclose(u.entries.sum(axis=1), 1.0, atol=1e-12)
+
 
 class TestUpdateM:
     def test_one_hot_gives_cluster_means(self):
@@ -208,6 +222,16 @@ class TestUpdateM:
         m = update_M(data, AssignmentMatrix(u), enforce_nonneg=False)
         ref = np.linalg.pinv(u) @ x
         np.testing.assert_allclose(m.centers[0], ref, atol=1e-10)
+
+    def test_identical_live_columns_take_the_ridge_fallback(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(8, 2))
+        half = rng.uniform(0.1, 0.9, size=(8, 1)) / 2.0
+        u = np.hstack([half, half, 1.0 - 2.0 * half])
+        data = MultiViewDataset(views=(x,))
+        with pytest.warns(RidgeFallbackWarning):
+            m = update_M(data, AssignmentMatrix(u), enforce_nonneg=False)
+        assert np.all(np.isfinite(m.centers[0]))
 
     def test_nonneg_constraint_respected(self):
         rng = np.random.default_rng(17)
