@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics
 from ._util import rng_for, select_initial_rows
 from .errors import ConfigError, DataWarning
-from .kernels import sq_dists
+from .kernels import assignment_qp, cluster_means, one_hot, sq_dists
 from .model import (
     AssignmentMatrix,
     CenterSet,
@@ -42,15 +42,9 @@ def nearest_center_labels(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(sq_dists(x, centers), axis=1)
 
 
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    u = np.zeros((labels.shape[0], k))
-    u[np.arange(labels.shape[0]), labels] = 1.0
-    return u
-
-
-def _split_centers(centers: np.ndarray, data: MultiViewDataset, nonneg: bool = False) -> CenterSet:
+def _split_centers(centers: np.ndarray, data: MultiViewDataset) -> CenterSet:
     parts = np.split(centers, np.cumsum(data.feature_counts)[:-1], axis=1)
-    return CenterSet(tuple(np.ascontiguousarray(p) for p in parts), nonneg_enforced=nonneg)
+    return CenterSet(tuple(np.ascontiguousarray(p) for p in parts))
 
 
 def _result(data, labels, u, centers, trace, elapsed, algorithm, extra=None) -> ClusterResult:
@@ -104,11 +98,7 @@ def kmeans_fit(
             reseeded = True
         fixpoint = labels is not None and np.array_equal(new_labels, labels) and not reseeded
         labels = new_labels
-        new_centers = centers.copy()
-        for kk in range(k):
-            mask = labels == kk
-            if mask.any():
-                new_centers[kk] = x[mask].mean(axis=0)
+        new_centers = cluster_means(x, labels, k, centers)
         trace.append(float(np.sum((x - new_centers[labels]) ** 2)))
         delta = float(np.linalg.norm(new_centers - centers))
         centers = new_centers
@@ -116,7 +106,7 @@ def kmeans_fit(
             break
     elapsed = time.perf_counter() - t0
     return _result(
-        data, labels, _one_hot(labels, k), _split_centers(centers, data),
+        data, labels, one_hot(labels, k), _split_centers(centers, data),
         trace, elapsed, "kmeans",
     )
 
@@ -219,7 +209,7 @@ def pkmeans_fit(
     elapsed = time.perf_counter() - t0
     labels = nearest_center_labels(x, centers)
     return _result(
-        data, labels, _one_hot(labels, k), _split_centers(centers, data),
+        data, labels, one_hot(labels, k), _split_centers(centers, data),
         trace, elapsed, "pkmeans", {"final_s": s},
     )
 
@@ -268,20 +258,17 @@ def ogd_fit(
         counts[k_star] += 1.0
     elapsed = time.perf_counter() - t0
     return _result(
-        data, labels, _one_hot(labels, k), _split_centers(centers, data),
+        data, labels, one_hot(labels, k), _split_centers(centers, data),
         trace, elapsed, "ogd",
     )
 
 
 def mu_update_rows(u: np.ndarray, views, center_mats, delta: float = MU_DELTA) -> np.ndarray:
     """Multiplicative update of assignment rows for the joint reconstruction
-    error over views; preserves nonnegativity."""
-    numer = np.zeros_like(u)
-    gram = np.zeros((u.shape[1], u.shape[1]))
-    for x, m in zip(views, center_mats):
-        numer += x @ m.T
-        gram += m @ m.T
-    return u * numer / (u @ gram + delta)
+    error over views; preserves nonnegativity.  ``assignment_qp`` at eta = 0
+    gives both sums doubled, so ``delta`` is doubled too."""
+    h, c = assignment_qp(views, center_mats, np.ones(len(views)), 0.0)
+    return u * c / (u @ h + 2.0 * delta)
 
 
 def mu_update_centers(m: np.ndarray, utx: np.ndarray, utu: np.ndarray, delta: float = MU_DELTA) -> np.ndarray:

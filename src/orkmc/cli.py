@@ -134,6 +134,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    if args.emit_every < 1:
+        raise UsageError(f"--emit-every must be >= 1, got {args.emit_every}")
     data = dataio.load(dataio.DatasetManifest.read(args.data))
     hyper = _hyper_from_args(args, data.n_samples)
     n = data.n_samples

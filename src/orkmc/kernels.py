@@ -18,6 +18,8 @@ has exactly one implementation here:
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
   by the Lawson-Hanson active-set method (exact termination).
 * :func:`sq_dists` -- squared Euclidean distances from rows to centers.
+* :func:`cluster_means` -- per-cluster means of the rows with each hard label.
+* :func:`one_hot` -- the one-hot assignment matrix of hard labels.
 * :func:`data_nonneg` -- the rule that centers are kept nonnegative exactly
   when the data is.
 
@@ -274,6 +276,24 @@ def sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
         + (centers * centers).sum(axis=1)[None, :]
     )
     return np.maximum(d, 0.0)
+
+
+def cluster_means(x: np.ndarray, labels: np.ndarray, k: int, prev: np.ndarray) -> np.ndarray:
+    """Mean of the rows of ``x`` with each label ``0..k-1``; a label with no
+    rows keeps its row of ``prev``."""
+    out = prev.copy()
+    for kk in range(k):
+        mask = labels == kk
+        if mask.any():
+            out[kk] = x[mask].mean(axis=0)
+    return out
+
+
+def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+    """The N x K assignment matrix with a one at each row's label."""
+    u = np.zeros((labels.shape[0], k))
+    u[np.arange(labels.shape[0]), labels] = 1.0
+    return u
 
 
 def data_nonneg(views) -> bool:

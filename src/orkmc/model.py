@@ -18,7 +18,7 @@ by :func:`validate`, which reports violations instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -244,7 +244,11 @@ class ClusterResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _conforming(data: MultiViewDataset, u: np.ndarray, centers: Sequence[np.ndarray]) -> None:
+def _conforming(data: MultiViewDataset, u, m) -> tuple:
+    """``(U, centers)`` as arrays, checked against ``data``'s shapes and for
+    finiteness."""
+    u = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
+    centers = m.centers if isinstance(m, CenterSet) else tuple(m)
     if len(centers) != data.n_views:
         raise DimensionError(
             f"{len(centers)} center matrices for {data.n_views} views"
@@ -262,19 +266,25 @@ def _conforming(data: MultiViewDataset, u: np.ndarray, centers: Sequence[np.ndar
     for v, m in enumerate(centers):
         if not np.all(np.isfinite(m)):
             raise ValidationError(f"center matrix {v} has non-finite entries")
+    return u, centers
+
+
+def view_residuals(views, u: np.ndarray, centers) -> np.ndarray:
+    """Squared residual ``||X_v - U M_v||^2`` of each view (1-D ``X_v`` and
+    ``U`` for a single sample)."""
+    out = np.empty(len(views))
+    for v, (x, mv) in enumerate(zip(views, centers)):
+        r = x - u @ mv
+        out[v] = float(np.dot(r.ravel(), r.ravel()))
+    return out
 
 
 def objective_rkmc(
     data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet, eta: float
 ) -> float:
     """Squared reconstruction error summed over views plus ``eta * sum(U**2)``."""
-    uu = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
-    cents = m.centers if isinstance(m, CenterSet) else tuple(m)
-    _conforming(data, uu, cents)
-    total = 0.0
-    for x, mv in zip(data.views, cents):
-        resid = x - uu @ mv
-        total += float(np.dot(resid.ravel(), resid.ravel()))
+    uu, cents = _conforming(data, u, m)
+    total = float(sum(view_residuals(data.views, uu, cents)))
     total += float(eta) * float(np.dot(uu.ravel(), uu.ravel()))
     return total
 
@@ -289,17 +299,13 @@ def objective_online(
     """View-weighted reconstruction error over the processed prefix plus the
     same quadratic regularizer; reduces to :func:`objective_rkmc` when V = 1
     and alpha = [1]."""
-    uu = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
-    cents = m.centers if isinstance(m, CenterSet) else tuple(m)
-    _conforming(data_prefix, uu, cents)
+    uu, cents = _conforming(data_prefix, u, m)
     if w.n_views != data_prefix.n_views:
         raise DimensionError(
             f"{w.n_views} weights for {data_prefix.n_views} views"
         )
-    total = 0.0
-    for alpha_v, x, mv in zip(w.alpha, data_prefix.views, cents):
-        resid = x - uu @ mv
-        total += float(alpha_v) ** float(w.r) * float(np.dot(resid.ravel(), resid.ravel()))
+    resid = view_residuals(data_prefix.views, uu, cents)
+    total = float(sum(float(a) ** float(w.r) * d for a, d in zip(w.alpha, resid)))
     total += float(eta) * float(np.dot(uu.ravel(), uu.ravel()))
     return total
 

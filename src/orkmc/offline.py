@@ -21,13 +21,14 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from ._util import select_initial_rows, rng_for
+from ._util import select_initial_rows
 from .errors import ConfigError, ConvergenceWarning, DataWarning, DegenerateClusterWarning
 from .kernels import (
     _pgd_rows,
     assignment_qp,
     data_nonneg,
     nnls,
+    one_hot,
     pg_step,
     solve_ridge_normal,
     sq_dists,
@@ -52,16 +53,16 @@ MAX_INNER = 2000
 class RkmcConfig:
     """Configuration of :func:`rkmc_fit`.
 
-    ``hyper`` supplies k, eta, epsilon, max_iter and seed (gamma and chushi are
-    ignored offline; the balance parameter r is accepted for interface parity
-    and recorded unused).  ``enforce_center_nonneg=None`` enables the center
-    nonnegativity constraint exactly when the data itself is nonnegative.
-    ``assignment="soft"`` solves each row QP over the simplex; ``"hard"``
-    restricts rows to the simplex vertices (classic nearest-center updates).
+    ``hyper`` supplies k, eta, epsilon, max_iter and seed (gamma, chushi and
+    the balance parameter r play no role offline; r is recorded only under
+    ``metadata["hyper"]``).  Centers are kept nonnegative exactly when the
+    data is.  ``init`` seeds the centers at K data rows chosen by
+    ``"kmeans++"`` or uniformly (``"random-rows"``).  ``assignment="soft"``
+    solves each row QP over the simplex; ``"hard"`` restricts rows to the
+    simplex vertices (classic nearest-center updates).
     """
 
     hyper: HyperParams
-    enforce_center_nonneg: Optional[bool] = None
     init: str = "kmeans++"
     assignment: str = "soft"
     n_restarts: int = 2
@@ -69,7 +70,7 @@ class RkmcConfig:
     track_labels: bool = False
 
     def __post_init__(self):
-        if self.init not in ("kmeans++", "random-rows", "random-uniform-U"):
+        if self.init not in ("kmeans++", "random-rows"):
             raise ConfigError(f"unknown init {self.init!r}")
         if self.assignment not in ("soft", "hard"):
             raise ConfigError(f"assignment must be 'soft' or 'hard', got {self.assignment!r}")
@@ -84,30 +85,25 @@ def update_U(
     eta: float,
     *,
     mode: str = "soft",
-    weights: Optional[np.ndarray] = None,
     tol: float = INNER_TOL,
     max_inner: int = MAX_INNER,
 ) -> AssignmentMatrix:
     """Minimize every assignment row at fixed centers; never increases the objective.
 
     Soft mode solves the per-row simplex QP with Hessian
-    ``2 (sum_v w_v M_v M_v' + eta I)`` by projected gradient (all rows vectorized,
+    ``2 (sum_v M_v M_v' + eta I)`` by projected gradient (all rows vectorized,
     warm-started from ``u_prev``) and emits :class:`ConvergenceWarning` when
     ``max_inner`` sweeps end before the fixed-point residual reaches ``tol``.
     Hard mode picks the best simplex vertex, i.e. the nearest center.
     """
     k = m.k
-    n = data.n_samples
-    w = np.ones(data.n_views) if weights is None else np.asarray(weights, dtype=np.float64)
     if mode == "hard":
-        d = sum(wv * sq_dists(x, mv) for wv, x, mv in zip(w, data.views, m.centers))
+        d = sum(sq_dists(x, mv) for x, mv in zip(data.views, m.centers))
         labels = np.argmin(d, axis=1)
-        u = np.zeros((n, k))
-        u[np.arange(n), labels] = 1.0
-        return AssignmentMatrix(u, labels)
+        return AssignmentMatrix(one_hot(labels, k), labels)
 
-    h, c = assignment_qp(data.views, m.centers, w, eta)
-    start = np.full((n, k), 1.0 / k) if u_prev is None else u_prev.entries
+    h, c = assignment_qp(data.views, m.centers, np.ones(data.n_views), eta)
+    start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev.entries
     u, converged, _ = _pgd_rows(start, h, c, pg_step(h), tol, max_inner)
     if not converged:
         warnings.warn(
@@ -144,19 +140,14 @@ def update_M(
             stacklevel=2,
         )
     ul = uu[:, live]
+    g = None if enforce_nonneg else ul.T @ ul
     out = []
     for v, x in enumerate(data.views):
-        mv = np.zeros((k, x.shape[1]))
-        if prev is not None:
-            mv[:] = prev.centers[v]
+        mv = np.zeros((k, x.shape[1])) if prev is None else prev.centers[v].copy()
         if np.any(live):
             if enforce_nonneg:
-                sol = np.empty((int(live.sum()), x.shape[1]))
-                for j in range(x.shape[1]):
-                    sol[:, j] = nnls(ul, x[:, j])
-                mv[live] = sol
+                mv[live] = np.column_stack([nnls(ul, x[:, j]) for j in range(x.shape[1])])
             else:
-                g = ul.T @ ul
                 mv[live] = solve_ridge_normal(g, ul.T @ x, what="center normal equations")
         out.append(mv)
     return CenterSet(tuple(out), nonneg_enforced=enforce_nonneg)
@@ -166,10 +157,6 @@ def _init_centers(
     data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool
 ) -> CenterSet:
     hyper = cfg.hyper
-    if cfg.init == "random-uniform-U":
-        rng = rng_for(hyper.seed, tag + ":dirichlet")
-        u0 = AssignmentMatrix(rng.dirichlet(np.ones(hyper.k), size=data.n_samples))
-        return update_M(data, u0, nonneg)
     method = "uniform" if cfg.init == "random-rows" else "kmeans++"
     idx = select_initial_rows(data.stacked(), hyper.k, hyper.seed, tag, method=method)
     return CenterSet(tuple(x[idx].copy() for x in data.views), nonneg_enforced=nonneg)
@@ -252,9 +239,7 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
             DataWarning,
             stacklevel=2,
         )
-    nonneg = cfg.enforce_center_nonneg
-    if nonneg is None:
-        nonneg = data_nonneg(data.views)
+    nonneg = data_nonneg(data.views)
     t0 = time.perf_counter()
     if cfg.initial_centers is not None:
         best = _fit_once(data, cfg, "rkmc-init", nonneg)
@@ -277,7 +262,6 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
         "enforce_center_nonneg": nonneg,
         "reseed_steps": list(best["reseed_steps"]),
         "converged": best["converged"],
-        "r_unused": float(hyper.r),  # accepted for interface parity, no role offline
     }
     if best["labels_hist"] is not None:
         metadata["label_history"] = [h.tolist() for h in best["labels_hist"]]

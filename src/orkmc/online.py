@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics
 from ._util import select_initial_rows
 from .errors import ConfigError, ValidationError
-from .kernels import _pgd_rows, assignment_qp, data_nonneg, pg_step
+from .kernels import _pgd_rows, assignment_qp, cluster_means, data_nonneg, pg_step
 from .model import (
     AssignmentMatrix,
     CenterSet,
@@ -32,6 +32,7 @@ from .model import (
     HyperParams,
     MultiViewDataset,
     ViewWeights,
+    view_residuals,
 )
 
 DEFAULT_N_GRAD = 10
@@ -109,10 +110,11 @@ def orkmc_init(
 ) -> OnlineState:
     """Warm-start on the initial batch.
 
-    Centers are seeded from K distinct prefix rows (kept nonnegative exactly
-    when the prefix data is), the view weights start uniform at 1/V, and every
-    prefix row receives the same projected-gradient assignment update (from
-    the uniform row) that streamed arrivals get.
+    Centers are seeded from K distinct prefix rows and the view weights start
+    uniform at 1/V.  Up to ``max_iter`` times, every prefix row gets the
+    assignment update (from the uniform row) that arrivals get, and each
+    center moves to the mean of its hard-labelled rows, until no center moved
+    by more than ``epsilon``.  ``counts`` is the final label histogram.
     """
     k = hyper.k
     t0 = data_prefix.n_samples
@@ -141,11 +143,8 @@ def orkmc_init(
         n_grad=n_grad,
     )
 
-    # Warm-start loop on the batch: every prefix row gets the same
-    # projected-gradient update (from the uniform row) that streamed arrivals
-    # get, then the centers move to their assigned means -- so that the
-    # per-arrival running-mean recurrence (step c of orkmc_step) stays exact:
-    # a center with count n_k is the mean of the n_k samples assigned to it.
+    # Centers at their assigned means keep the per-arrival running-mean
+    # recurrence of orkmc_step exact.
     u = np.full((t0, k), 1.0 / k)
     hard = np.zeros(t0, dtype=np.intp)
     for _ in range(hyper.max_iter):
@@ -153,22 +152,15 @@ def orkmc_init(
         u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, 0.0, n_grad)
         hard = np.argmax(u, axis=1)
         drift = 0.0
-        for kk in range(k):
-            mask = hard == kk
-            if mask.any():
-                for x, mv in zip(data_prefix.views, centers.centers):
-                    mean = x[mask].mean(axis=0)
-                    if nonneg:
-                        mean = np.maximum(mean, 0.0)
-                    drift = max(drift, float(np.linalg.norm(mean - mv[kk])))
-                    mv[kk] = mean
+        for x, mv in zip(data_prefix.views, centers.centers):
+            means = cluster_means(x, hard, k, mv)
+            drift = max(drift, *(float(np.linalg.norm(d)) for d in means - mv))
+            mv[:] = means
         if drift <= hyper.epsilon:
             break
 
     state.counts = np.bincount(hard, minlength=k).astype(np.int64)
-    for v, (x, mv) in enumerate(zip(data_prefix.views, centers.centers)):
-        resid = x - u @ mv
-        state.resid_sums[v] = float(np.dot(resid.ravel(), resid.ravel()))
+    state.resid_sums = view_residuals(data_prefix.views, u, centers.centers)
     state.u_sq_sum = float(np.dot(u.ravel(), u.ravel()))
     state.U_rows = [u[i] for i in range(t0)]
     state.t = t0
@@ -202,9 +194,7 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
 
     k_star = int(np.argmax(u))
     state.counts[k_star] += 1
-    for v, (x, mv) in enumerate(zip(xs, state.centers.centers)):
-        resid = x - u @ mv
-        state.resid_sums[v] += float(resid @ resid)
+    state.resid_sums += view_residuals(xs, u, state.centers.centers)
     if not state.frozen:
         for x, mv in zip(xs, state.centers.centers):
             mv[k_star] += (x - mv[k_star]) / state.counts[k_star]

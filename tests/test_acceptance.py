@@ -169,7 +169,6 @@ def test_c04_lloyd_reduction():
                 hyper=HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=10, seed=i),
                 assignment="hard",
                 initial_centers=CenterSet((centers0.copy(),)),
-                enforce_center_nonneg=False,
                 track_labels=True,
             )
             res = rkmc_fit(MultiViewDataset(views=(x,)), cfg)

@@ -137,6 +137,17 @@ class TestStream:
             obj = float(line.split(",")[1])
             assert np.isfinite(obj) and obj >= 0
 
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_emit_every_below_one_is_usage_error(self, capsys, tmp_path, every):
+        # The manifest does not exist: a check made after loading would exit 1.
+        code, out, err = run_cli(
+            capsys, "stream", "--algo", "orkmc", "--data", str(tmp_path / "none.json"),
+            "--k", "3", "--emit-every", every, "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "--emit-every" in err
+        assert out == ""
+
     def test_chushi_equals_n_emits_init_only(self, capsys, tmp_path):
         data = generate(SimSpec(n=50, k=3, v=1, j=2, seed=1))
         manifest = save_dataset(data, tmp_path / "ds")

@@ -96,6 +96,24 @@ class TestStep:
         assert state.centers.centers[0][0, 0] == pytest.approx(2.0, abs=1e-12)
         assert state.counts.tolist() == [3]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_running_mean_invariant_for_several_clusters(self, seed):
+        # With epsilon tiny the state never freezes, so every center with
+        # count n_k stays the mean of the n_k rows hard-labelled to it.
+        rng = np.random.default_rng(seed)
+        x, _ = separated_rows(rng, 400, 3, sep=4.0)
+        data = MultiViewDataset(views=(x - x.mean(axis=0), rng.normal(size=(400, 3))))
+        res = orkmc_run(data, HyperParams(k=3, chushi=60, epsilon=1e-300, seed=seed))
+        labels = res.assignment.hard_labels
+        counts = np.asarray(res.metadata["counts"])
+        assert res.metadata["frozen_at"] is None
+        np.testing.assert_array_equal(counts, np.bincount(labels, minlength=3))
+        for kk in np.flatnonzero(counts):
+            for xv, mv in zip(data.views, res.centers.centers):
+                np.testing.assert_allclose(
+                    mv[kk], xv[labels == kk].mean(axis=0), rtol=0, atol=1e-10
+                )
+
     def test_non_finite_arrival_rejected_state_unchanged(self):
         rng = np.random.default_rng(6)
         state = self.make_state(rng)

@@ -13,6 +13,7 @@ from orkmc.errors import (
     DegenerateClusterWarning,
     RidgeFallbackWarning,
 )
+from orkmc.kernels import cluster_means, one_hot
 from orkmc.model import (
     AssignmentMatrix,
     CenterSet,
@@ -132,7 +133,6 @@ class TestLloydReduction:
                 hyper=HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=12, seed=0),
                 assignment="hard",
                 initial_centers=CenterSet((centers0.copy(),)),
-                enforce_center_nonneg=False,
                 track_labels=True,
             )
             res = rkmc_fit(MultiViewDataset(views=(x,)), cfg)
@@ -203,6 +203,18 @@ class TestUpdateM:
             np.testing.assert_allclose(
                 m.centers[0][kk], x[labels == kk].mean(axis=0), atol=1e-10
             )
+        means = cluster_means(x, labels, 2, np.zeros((2, 3)))
+        np.testing.assert_allclose(means, m.centers[0], rtol=0, atol=1e-12)
+
+        # A third label with no rows keeps its previous center on both paths.
+        prev = CenterSet((rng.normal(size=(3, 3)),))
+        with pytest.warns(DegenerateClusterWarning):
+            m3 = update_M(
+                data, AssignmentMatrix(one_hot(labels, 3)), enforce_nonneg=False, prev=prev
+            )
+        means3 = cluster_means(x, labels, 3, prev.centers[0])
+        np.testing.assert_allclose(means3, m3.centers[0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(means3[2], prev.centers[0][2])
 
     def test_empty_cluster_keeps_previous_center(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
