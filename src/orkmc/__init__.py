@@ -13,13 +13,7 @@ Public surface:
 * command line: ``orkmc`` (see :mod:`orkmc.cli`)
 """
 
-from .baselines import (
-    PowerSchedule,
-    kmeans_fit,
-    ogd_fit,
-    omu_fit,
-    pkmeans_fit,
-)
+from .baselines import kmeans_fit, ogd_fit, omu_fit, pkmeans_fit
 from .datagen import ScenarioPreset, SimSpec, add_shuffled_noise_view, generate, preset
 from .dataio import DatasetManifest, load, load_qcm, load_result, save_dataset, save_result
 from .kernels import RowQP, nnls, project_simplex, solve_row_qp
@@ -49,7 +43,6 @@ __all__ = [
     "HyperParams",
     "MultiViewDataset",
     "OnlineState",
-    "PowerSchedule",
     "RkmcConfig",
     "RowQP",
     "ScenarioPreset",

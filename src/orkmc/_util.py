@@ -4,10 +4,10 @@ All randomness in the package flows through two primitives:
 
 * ``rng_for(seed, tag)`` -- independent numpy generators keyed by (seed, purpose),
   so adding a new consumer of randomness never shifts the draws of another.
-* content-keyed row selection -- initial centers are chosen by hashing row
-  *contents* together with (seed, tag).  Selection therefore commutes with any
-  permutation of the rows, which makes the fitted labels permutation-equivariant
-  while staying deterministic in the seed.
+* content-keyed kmeans++ seeding -- every draw of :func:`select_initial_rows`
+  is keyed by hashing row *contents* together with (seed, tag).  Selection
+  therefore commutes with any permutation of the rows, which makes the fitted
+  labels permutation-equivariant while staying deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -37,32 +37,20 @@ def _content_keys(x: np.ndarray, seed: int, tag: str) -> np.ndarray:
     return np.array([_row_hash01(seed, tag, rows[i].tobytes()) for i in range(rows.shape[0])])
 
 
-def select_initial_rows(
-    x: np.ndarray,
-    k: int,
-    seed: int,
-    tag: str,
-    method: str = "kmeans++",
-) -> np.ndarray:
+def select_initial_rows(x: np.ndarray, k: int, seed: int, tag: str) -> np.ndarray:
     """Pick ``k`` distinct row indices of ``x`` to seed cluster centers.
 
-    ``method`` is ``"kmeans++"`` (greedy D^2 seeding) or ``"uniform"``.  Both are
-    deterministic in ``(seed, tag)`` and keyed by row content, so permuting the
-    rows of ``x`` selects the same data points.
+    Greedy kmeans++ (D^2) seeding: the first row has the largest content key,
+    and each later step draws a few D^2-weighted candidates and keeps the one
+    that lowers the total squared distance to the chosen rows the most.  Every
+    draw is deterministic in ``(seed, tag)`` and keyed by row content, so
+    permuting the rows of ``x`` selects the same data points.
     """
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     taken = np.zeros(n, dtype=bool)
     chosen: list[int] = []
-
-    if method == "uniform":
-        keys = _content_keys(x, seed, tag)
-        order = np.argsort(keys, kind="stable")
-        return order[:k].copy()
-
-    if method != "kmeans++":
-        raise ValueError(f"unknown row-selection method {method!r}")
 
     first_keys = _content_keys(x, seed, tag + ":0")
     i0 = int(np.argmax(first_keys))

@@ -4,7 +4,7 @@
 * :func:`pkmeans_fit` -- power K-means: majorization-minimization on the
   power-mean objective with the power annealed toward hard assignments.
 * :func:`ogd_fit` -- online gradient-descent K-means (per-arrival nearest
-  center, count-decayed steps).
+  center, running-mean steps ``1/(n_k+1)``).
 * :func:`omu_fit` -- online multiplicative-update NMF clustering with
   streaming sufficient statistics.
 
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,10 +30,14 @@ from .model import (
     ClusterResult,
     MultiViewDataset,
     ViewWeights,
+    view_residuals,
 )
 
 MU_DELTA = 1e-12
 ZERO_DIST = 1e-30
+POWER_S0 = -1.0
+POWER_STEP = 1.1
+POWER_S_MIN = -100.0
 
 
 def nearest_center_labels(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -111,24 +114,6 @@ def kmeans_fit(
     )
 
 
-@dataclass(frozen=True)
-class PowerSchedule:
-    """Annealing schedule of the power parameter: |s| grows by ``step_factor``
-    each iteration from ``s0`` (< 0) down to the floor ``s_min``."""
-
-    s0: float = -1.0
-    step_factor: float = 1.1
-    s_min: float = -100.0
-
-    def __post_init__(self):
-        if not self.s0 < 0:
-            raise ConfigError(f"s0 must be < 0, got {self.s0}")
-        if not self.step_factor > 1:
-            raise ConfigError(f"step_factor must be > 1, got {self.step_factor}")
-        if not self.s_min <= self.s0:
-            raise ConfigError("s_min must be <= s0")
-
-
 def _log_power_mean(d: np.ndarray, s: float) -> np.ndarray:
     """Row-wise log of the power mean M_s of squared distances (s < 0).
 
@@ -182,30 +167,31 @@ def power_mm_step(x: np.ndarray, centers: np.ndarray, s: float) -> np.ndarray:
 def pkmeans_fit(
     data: MultiViewDataset,
     k: int,
-    schedule: Optional[PowerSchedule] = None,
     max_iter: int = 100,
     seed: int = 0,
 ) -> ClusterResult:
-    """Power K-means (single view): anneal ``s`` toward ``s_min`` while running
-    MM steps; as ``s`` grows negative the assignments approach nearest-center."""
+    """Power K-means (single view): one MM step per iteration while ``s``
+    anneals from ``POWER_S0`` by the factor ``POWER_STEP`` down to
+    ``POWER_S_MIN``; as ``s`` grows negative the assignments approach
+    nearest-center.  Stops once ``s`` is at the floor and the centers moved by
+    at most 1e-8, or after ``max_iter`` steps."""
     if data.n_views != 1:
         raise ConfigError("power K-means is a single-view algorithm")
     if k > data.n_samples:
         raise ConfigError(f"k={k} exceeds the number of samples ({data.n_samples})")
-    schedule = schedule or PowerSchedule()
     x = data.views[0]
     t0 = time.perf_counter()
     centers = x[select_initial_rows(x, k, seed, "pkmeans-init")].copy()
-    s = schedule.s0
+    s = POWER_S0
     trace: list[float] = []
     for _ in range(max_iter):
         new_centers = power_mm_step(x, centers, s)
         trace.append(power_mean_objective(x, new_centers, s))
         delta = float(np.linalg.norm(new_centers - centers))
         centers = new_centers
-        if delta <= 1e-8 and s == schedule.s_min:
+        if delta <= 1e-8 and s == POWER_S_MIN:
             break
-        s = max(schedule.s_min, s * schedule.step_factor)
+        s = max(POWER_S_MIN, s * POWER_STEP)
     elapsed = time.perf_counter() - t0
     labels = nearest_center_labels(x, centers)
     return _result(
@@ -217,15 +203,16 @@ def pkmeans_fit(
 def ogd_fit(
     data: MultiViewDataset,
     k: int,
-    gamma_schedule: Optional[Callable[[int], float]] = None,
     chushi: Optional[int] = None,
     seed: int = 0,
 ) -> ClusterResult:
     """Online gradient-descent K-means (single view).
 
-    K centers are seeded from the first ``chushi`` rows; every other row
-    arrives in order, is labeled by its nearest center, and moves that center
-    by ``gamma_t * (x - center)`` with ``gamma_t = 1 / (n_k + 1)`` by default.
+    K centers are seeded by kmeans++ from the first ``chushi`` rows, each with
+    count ``n_k = 1``; every other row arrives in order, is labeled by its
+    nearest center, and moves that center by ``(x - center) / (n_k + 1)``
+    before ``n_k`` grows by one, so each center stays the running mean of the
+    rows it has absorbed.
     """
     if data.n_views != 1:
         raise ConfigError("online gradient descent is a single-view algorithm")
@@ -234,8 +221,6 @@ def ogd_fit(
     chushi = k if chushi is None else chushi
     if not k <= chushi <= n:
         raise ConfigError(f"need k <= chushi <= n, got k={k}, chushi={chushi}, n={n}")
-    if gamma_schedule is None:
-        gamma_schedule = lambda n_k: 1.0 / (n_k + 1.0)
     t0 = time.perf_counter()
     seeds = select_initial_rows(x[:chushi], k, seed, "ogd-init")
     centers = x[seeds].copy()
@@ -254,7 +239,7 @@ def ogd_fit(
         labels[i] = k_star
         cum += float(d[k_star])
         trace.append(cum)
-        centers[k_star] += gamma_schedule(counts[k_star]) * (x[i] - centers[k_star])
+        centers[k_star] += 1.0 / (counts[k_star] + 1.0) * (x[i] - centers[k_star])
         counts[k_star] += 1.0
     elapsed = time.perf_counter() - t0
     return _result(
@@ -263,18 +248,18 @@ def ogd_fit(
     )
 
 
-def mu_update_rows(u: np.ndarray, views, center_mats, delta: float = MU_DELTA) -> np.ndarray:
+def mu_update_rows(u: np.ndarray, views, center_mats) -> np.ndarray:
     """Multiplicative update of assignment rows for the joint reconstruction
     error over views; preserves nonnegativity.  ``assignment_qp`` at eta = 0
-    gives both sums doubled, so ``delta`` is doubled too."""
+    gives both sums doubled, so ``MU_DELTA`` is doubled too."""
     h, c = assignment_qp(views, center_mats, np.ones(len(views)), 0.0)
-    return u * c / (u @ h + 2.0 * delta)
+    return u * c / (u @ h + 2.0 * MU_DELTA)
 
 
-def mu_update_centers(m: np.ndarray, utx: np.ndarray, utu: np.ndarray, delta: float = MU_DELTA) -> np.ndarray:
+def mu_update_centers(m: np.ndarray, utx: np.ndarray, utu: np.ndarray) -> np.ndarray:
     """Multiplicative update of one view's centers from (accumulated)
     sufficient statistics U'X and U'U; preserves nonnegativity."""
-    return m * utx / (utu @ m + delta)
+    return m * utx / (utu @ m + MU_DELTA)
 
 
 def _normalize_rows(u: np.ndarray) -> np.ndarray:
@@ -339,11 +324,7 @@ def omu_fit(
             center_mats[v] = mu_update_centers(
                 center_mats[v], u_batch.T @ x, u_batch.T @ u_batch
             )
-        err = sum(
-            float(np.sum((x - u_batch @ m) ** 2))
-            for x, m in zip(batch_views, center_mats)
-        )
-        trace.append(err)
+        trace.append(float(view_residuals(batch_views, u_batch, center_mats).sum()))
 
     rows = [_normalize_rows(u_batch)]
     u_norm = rows[0]

@@ -75,17 +75,11 @@ def _hyper_from_args(args, n_samples: int) -> HyperParams:
     )
 
 
-def _run_algorithm(
-    algo: str,
-    data: MultiViewDataset,
-    hyper: HyperParams,
-    chunk_size: int = 1,
-    progress=None,
-) -> ClusterResult:
+def _run_algorithm(algo: str, data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     if algo == "rkmc":
         return rkmc_fit(data, RkmcConfig(hyper=hyper))
     if algo == "orkmc":
-        return orkmc_run(data, hyper, chunk_size=chunk_size, progress=progress)
+        return orkmc_run(data, hyper)
     if algo == "kmeans":
         return baselines.kmeans_fit(
             data, hyper.k, max_iter=hyper.max_iter, epsilon=hyper.epsilon, seed=hyper.seed
@@ -149,7 +143,7 @@ def cmd_stream(args) -> int:
             cols = ",".join(repr(float(a)) for a in alpha)
             print(f"{t},{objective!r},{cols}")
 
-    result = orkmc_run(data, hyper, chunk_size=args.chunk_size, progress=emit)
+    result = orkmc_run(data, hyper, progress=emit)
     dataio.save_result(result, args.out)
     print(_summary_line("orkmc", data, result))
     return 0
@@ -352,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_stream = sub.add_parser("stream", help="run the online solver with progress rows")
     add_fit_flags(p_stream, algos=("orkmc",))
-    p_stream.add_argument("--chunk-size", dest="chunk_size", type=int, default=1)
     p_stream.add_argument("--emit-every", dest="emit_every", type=int, default=1)
     p_stream.set_defaults(func=cmd_stream)
 

@@ -45,28 +45,43 @@ class DatasetManifest:
 
     @classmethod
     def read(cls, path) -> "DatasetManifest":
+        """Parse a manifest file; a missing key or a value of the wrong JSON
+        type is a :class:`ParseError` that names the key."""
         path = os.fspath(path)
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: invalid manifest JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"{path}: manifest must be a JSON object")
+        if "view_files" not in doc:
+            raise ParseError(f"{path}: manifest is missing key 'view_files'")
+        view_files = doc["view_files"]
+        if not isinstance(view_files, list) or not all(isinstance(p, str) for p in view_files):
+            raise ParseError(f"{path}: manifest key 'view_files' must be a list of paths")
+        label_file = doc.get("label_file")
+        if label_file is not None and not isinstance(label_file, str):
+            raise ParseError(f"{path}: manifest key 'label_file' must be a path or null")
+        delimiter = doc.get("delimiter", ",")
+        if not isinstance(delimiter, str) or not delimiter:
+            raise ParseError(f"{path}: manifest key 'delimiter' must be a non-empty string")
+        has_header = doc.get("has_header", False)
+        if not isinstance(has_header, bool):
+            raise ParseError(f"{path}: manifest key 'has_header' must be true or false")
         base = os.path.dirname(os.path.abspath(path))
 
         def resolve(p):
             return p if os.path.isabs(p) else os.path.join(base, p)
 
-        try:
-            return cls(
-                name=doc.get("name", os.path.basename(path)),
-                view_files=tuple(resolve(p) for p in doc["view_files"]),
-                label_file=resolve(doc["label_file"]) if doc.get("label_file") else None,
-                k_true=doc.get("k_true"),
-                delimiter=doc.get("delimiter", ","),
-                has_header=bool(doc.get("has_header", False)),
-            )
-        except KeyError as exc:
-            raise ParseError(f"{path}: manifest is missing key {exc}") from exc
+        return cls(
+            name=doc.get("name", os.path.basename(path)),
+            view_files=tuple(resolve(p) for p in view_files),
+            label_file=resolve(label_file) if label_file else None,
+            k_true=doc.get("k_true"),
+            delimiter=delimiter,
+            has_header=has_header,
+        )
 
     def write(self, path) -> None:
         doc = {

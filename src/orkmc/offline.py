@@ -56,22 +56,22 @@ class RkmcConfig:
     ``hyper`` supplies k, eta, epsilon, max_iter and seed (gamma, chushi and
     the balance parameter r play no role offline; r is recorded only under
     ``metadata["hyper"]``).  Centers are kept nonnegative exactly when the
-    data is.  ``init`` seeds the centers at K data rows chosen by
-    ``"kmeans++"`` or uniformly (``"random-rows"``).  ``assignment="soft"``
-    solves each row QP over the simplex; ``"hard"`` restricts rows to the
-    simplex vertices (classic nearest-center updates).
+    data is.  Each restart seeds its centers at K data rows chosen by
+    content-keyed kmeans++ (:func:`~orkmc._util.select_initial_rows`), unless
+    ``initial_centers`` is given, which makes a single run from those centers.
+    ``assignment="soft"`` solves each row QP over the simplex; ``"hard"``
+    restricts rows to the simplex vertices (classic nearest-center updates).
+    ``track_labels`` records the hard labels after every iteration under
+    ``metadata["label_history"]``.
     """
 
     hyper: HyperParams
-    init: str = "kmeans++"
     assignment: str = "soft"
     n_restarts: int = 2
     initial_centers: Optional[CenterSet] = None
     track_labels: bool = False
 
     def __post_init__(self):
-        if self.init not in ("kmeans++", "random-rows"):
-            raise ConfigError(f"unknown init {self.init!r}")
         if self.assignment not in ("soft", "hard"):
             raise ConfigError(f"assignment must be 'soft' or 'hard', got {self.assignment!r}")
         if self.n_restarts < 1:
@@ -153,15 +153,6 @@ def update_M(
     return CenterSet(tuple(out), nonneg_enforced=enforce_nonneg)
 
 
-def _init_centers(
-    data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool
-) -> CenterSet:
-    hyper = cfg.hyper
-    method = "uniform" if cfg.init == "random-rows" else "kmeans++"
-    idx = select_initial_rows(data.stacked(), hyper.k, hyper.seed, tag, method=method)
-    return CenterSet(tuple(x[idx].copy() for x in data.views), nonneg_enforced=nonneg)
-
-
 def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet) -> np.ndarray:
     r = np.zeros(data.n_samples)
     for x, mv in zip(data.views, m.centers):
@@ -174,7 +165,8 @@ def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool) -
     hyper = cfg.hyper
     m = cfg.initial_centers
     if m is None:
-        m = _init_centers(data, cfg, tag, nonneg)
+        idx = select_initial_rows(data.stacked(), hyper.k, hyper.seed, tag)
+        m = CenterSet(tuple(x[idx].copy() for x in data.views), nonneg_enforced=nonneg)
     u = update_U(data, m, None, hyper.eta, mode=cfg.assignment)
     trace = [objective_rkmc(data, u, m, hyper.eta)]
     labels_hist = [u.hard_labels.copy()] if cfg.track_labels else None
@@ -255,7 +247,6 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
     metadata = {
         "algorithm": "rkmc",
         "hyper": hyper.as_dict(),
-        "init": cfg.init,
         "assignment": cfg.assignment,
         "n_restarts": cfg.n_restarts,
         "restart_used": restart_used,

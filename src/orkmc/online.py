@@ -4,10 +4,12 @@ The solver warm-starts on an initial batch of ``chushi`` samples, then
 consumes arrivals one at a time: the new sample's assignment row is obtained
 by a few projected-gradient steps on its simplex-constrained QP, the winning
 cluster's centers move by a counts-weighted running mean, and the view weights
-are refreshed from the cumulative per-view residuals.  Each arrival rebuilds
-the row Hessian from the current centers and weights in O(K^2 * sum(J_v)),
-then its n_grad steps cost O(n_grad * K^2); the state holds only sufficient
-statistics plus the rows emitted so far.
+are refreshed from the cumulative per-view residuals.  The first arrival whose
+center move is at most ``epsilon`` freezes the centers and weights; later
+arrivals are only assigned and counted.  Each arrival rebuilds the row Hessian
+from the current centers and weights in O(K^2 * sum(J_v)), then its n_grad
+steps cost O(n_grad * K^2); the state holds only sufficient statistics plus
+the rows emitted so far.
 
 An :class:`OnlineState` is single-writer: steps mutate it sequentially in
 arrival order.  Distinct states may run in parallel.
@@ -16,7 +18,7 @@ arrival order.  Distinct states may run in parallel.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,14 +38,6 @@ from .model import (
 )
 
 DEFAULT_N_GRAD = 10
-
-
-def _resolve_n_grad(hyper: HyperParams, n_grad: Optional[int]) -> int:
-    if n_grad is None:
-        return min(DEFAULT_N_GRAD, hyper.max_iter)
-    if n_grad < 1:
-        raise ConfigError(f"n_grad must be >= 1, got {n_grad}")
-    return n_grad
 
 
 def weights_from_residuals(d: np.ndarray, r: float) -> np.ndarray:
@@ -70,7 +64,12 @@ def weights_from_residuals(d: np.ndarray, r: float) -> np.ndarray:
 
 @dataclass
 class OnlineState:
-    """Streaming solver state; ``t`` arrivals processed so far."""
+    """Streaming solver state; ``t`` samples processed so far.
+
+    ``n_grad`` is the number of projected-gradient sweeps each arrival's row
+    gets.  ``frozen_at`` is the ``t`` after the arrival that froze the centers
+    and weights, or ``None`` while they still move.
+    """
 
     hyper: HyperParams
     t: int
@@ -81,14 +80,13 @@ class OnlineState:
     resid_sums: np.ndarray
     u_sq_sum: float
     n_grad: int
-    frozen: bool = False
-    stats: dict = field(default_factory=lambda: {"steps": 0, "grad_steps": 0})
+    frozen_at: Optional[int] = None
 
     def surrogate_objective(self) -> float:
         """Cumulative weighted at-assignment residual plus the regularizer.
 
-        Tracked incrementally so reporting stays O(V) per chunk regardless of
-        how many samples have streamed past.
+        Tracked incrementally so reporting stays O(V) per arrival regardless
+        of how many samples have streamed past.
         """
         a = self.weights.alpha ** self.weights.r
         return float(a @ self.resid_sums + self.hyper.eta * self.u_sq_sum)
@@ -103,18 +101,15 @@ def _row_qp(state: OnlineState, xs) -> tuple:
     return h, c, step
 
 
-def orkmc_init(
-    data_prefix: MultiViewDataset,
-    hyper: HyperParams,
-    n_grad: Optional[int] = None,
-) -> OnlineState:
+def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     """Warm-start on the initial batch.
 
     Centers are seeded from K distinct prefix rows and the view weights start
     uniform at 1/V.  Up to ``max_iter`` times, every prefix row gets the
-    assignment update (from the uniform row) that arrivals get, and each
-    center moves to the mean of its hard-labelled rows, until no center moved
-    by more than ``epsilon``.  ``counts`` is the final label histogram.
+    assignment update (from the uniform row, ``min(DEFAULT_N_GRAD, max_iter)``
+    sweeps) that arrivals get, and each center moves to the mean of its
+    hard-labelled rows, until no center moved by more than ``epsilon``.
+    ``counts`` is the final label histogram.
     """
     k = hyper.k
     t0 = data_prefix.n_samples
@@ -124,7 +119,7 @@ def orkmc_init(
         raise ConfigError(
             f"prefix has {t0} rows but chushi={hyper.chushi}"
         )
-    n_grad = _resolve_n_grad(hyper, n_grad)
+    n_grad = min(DEFAULT_N_GRAD, hyper.max_iter)
     nonneg = data_nonneg(data_prefix.views)
     idx = select_initial_rows(data_prefix.stacked(), k, hyper.seed, "orkmc-init")
     centers = CenterSet(
@@ -171,8 +166,14 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     """Process one arrival (one sample per view); mutates and returns ``state``.
 
     A non-finite arrival is rejected with :class:`ValidationError` before any
-    mutation.  When the state is frozen (center drift fell below epsilon) the
-    sample is still assigned and counted, but centers and weights stay fixed.
+    mutation.  The arrival's row gets ``n_grad`` projected-gradient sweeps from
+    the uniform row; its hard label k* is counted and, unless the state is
+    frozen, row k* of every view's centers moves toward the sample by the
+    running-mean step and the view weights are refreshed.  Only row k* moves,
+    so the step's drift is the largest norm of that row's move over the views;
+    a drift of at most ``epsilon`` freezes the state (``frozen_at = t``), and
+    every later arrival is assigned and counted against fixed centers and
+    weights.
     """
     xs = [np.asarray(x, dtype=np.float64).ravel() for x in arrival]
     if len(xs) != state.centers.n_views:
@@ -195,40 +196,37 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     k_star = int(np.argmax(u))
     state.counts[k_star] += 1
     state.resid_sums += view_residuals(xs, u, state.centers.centers)
-    if not state.frozen:
-        for x, mv in zip(xs, state.centers.centers):
-            mv[k_star] += (x - mv[k_star]) / state.counts[k_star]
-            if state.centers.nonneg_enforced:
-                np.maximum(mv[k_star], 0.0, out=mv[k_star])
-        state.weights = ViewWeights(
-            weights_from_residuals(state.resid_sums, hyper.r), hyper.r
-        )
     state.u_sq_sum += float(u @ u)
     state.U_rows.append(u)
     state.t += 1
-    state.stats["steps"] += 1
-    state.stats["grad_steps"] += state.n_grad
+    if state.frozen_at is None:
+        drift = 0.0
+        for x, mv in zip(xs, state.centers.centers):
+            old = mv[k_star].copy()
+            mv[k_star] += (x - old) / state.counts[k_star]
+            if state.centers.nonneg_enforced:
+                np.maximum(mv[k_star], 0.0, out=mv[k_star])
+            drift = max(drift, float(np.linalg.norm(mv[k_star] - old)))
+        state.weights = ViewWeights(
+            weights_from_residuals(state.resid_sums, hyper.r), hyper.r
+        )
+        if drift <= hyper.epsilon:
+            state.frozen_at = state.t
     return state
 
 
 def orkmc_run(
     data: MultiViewDataset,
     hyper: HyperParams,
-    chunk_size: int = 1,
-    n_grad: Optional[int] = None,
     progress: Optional[Callable[[int, float, np.ndarray], None]] = None,
 ) -> ClusterResult:
     """Stream the dataset through the online solver in arrival order.
 
-    Rows ``1..chushi`` form the warm-start batch; the rest arrive one by one
-    (``chunk_size`` only groups steps for reporting).  After any chunk whose
-    maximum view-center change is at most ``epsilon`` the centers and weights
-    freeze and the remaining arrivals are assigned against them.  ``progress``
-    is called as ``progress(t, objective, alpha)`` at the end of the warm start
-    and of every chunk.
+    Rows ``1..chushi`` form the warm-start batch (:func:`orkmc_init`); every
+    later row is one :func:`orkmc_step`, which also decides the freeze.
+    ``progress`` is called as ``progress(t, objective, alpha)`` after the warm
+    start and after every arrival.
     """
-    if chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
     if hyper.chushi is None:
         raise ConfigError("the online solver requires chushi (initial batch size)")
     n = data.n_samples
@@ -236,32 +234,15 @@ def orkmc_run(
         raise ConfigError(f"chushi={hyper.chushi} exceeds the sample count {n}")
 
     t_start = time.perf_counter()
-    state = orkmc_init(data.take_rows(np.arange(hyper.chushi)), hyper, n_grad=n_grad)
+    state = orkmc_init(data.take_rows(np.arange(hyper.chushi)), hyper)
     trace = [state.surrogate_objective()]
     if progress is not None:
         progress(state.t, trace[-1], state.weights.alpha.copy())
-
-    frozen_at = None
-    i = hyper.chushi
-    while i < n:
-        j = min(i + chunk_size, n)
-        snapshot = None
-        if not state.frozen:
-            snapshot = [mv.copy() for mv in state.centers.centers]
-        for row in range(i, j):
-            orkmc_step(state, [x[row] for x in data.views])
+    for row in range(hyper.chushi, n):
+        orkmc_step(state, [x[row] for x in data.views])
         trace.append(state.surrogate_objective())
         if progress is not None:
             progress(state.t, trace[-1], state.weights.alpha.copy())
-        if snapshot is not None:
-            drift = max(
-                float(np.linalg.norm(mv - s))
-                for mv, s in zip(state.centers.centers, snapshot)
-            )
-            if drift <= hyper.epsilon:
-                state.frozen = True
-                frozen_at = state.t
-        i = j
     elapsed = time.perf_counter() - t_start
 
     u = np.array(state.U_rows) if state.U_rows else np.zeros((0, hyper.k))
@@ -280,8 +261,7 @@ def orkmc_run(
             "algorithm": "orkmc",
             "hyper": hyper.as_dict(),
             "n_grad": state.n_grad,
-            "chunk_size": int(chunk_size),
-            "frozen_at": frozen_at,
+            "frozen_at": state.frozen_at,
             "counts": state.counts.tolist(),
         },
     )

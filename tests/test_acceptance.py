@@ -269,7 +269,7 @@ def test_c10_performance_envelope():
         stream = generate(SimSpec(n=10_000, k=5, v=1, j=10, seed=1))
         hyper2 = HyperParams(k=5, eta=1.0, chushi=500, seed=1)
         t0 = time.perf_counter()
-        orkmc_run(stream, hyper2, n_grad=10)
+        orkmc_run(stream, hyper2)
         online_time = time.perf_counter() - t0
         assert online_time < 5.0, f"ORKMC 10k stream took {online_time:.2f}s"
         crit.detail = f"RKMC 125x10 {offline_time:.2f}s < 1s; ORKMC 10k {online_time:.2f}s < 5s"

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from orkmc.baselines import (
-    PowerSchedule,
     kmeans_fit,
     mu_update_centers,
     mu_update_rows,
@@ -115,12 +114,6 @@ class TestPkmeans:
         centers = np.array([[0.0, 0.0], [4.0, 0.0]])
         stepped = power_mm_step(x, centers, -2.0)
         np.testing.assert_allclose(stepped, centers, atol=1e-12)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ConfigError):
-            PowerSchedule(s0=1.0)
-        with pytest.raises(ConfigError):
-            PowerSchedule(step_factor=0.9)
 
 
 class TestOgd:

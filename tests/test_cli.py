@@ -62,6 +62,16 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_malformed_manifest_is_runtime_error(self, capsys, tmp_path):
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps({"view_files": [3]}))
+        code, _, err = run_cli(
+            capsys, "fit", "--algo", "rkmc", "--data", str(mp),
+            "--k", "2", "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert "'view_files'" in err
+
     def test_unknown_preset_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--preset", "nope", "--out-dir", str(tmp_path / "d")

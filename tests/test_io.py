@@ -115,6 +115,25 @@ class TestManifest:
         with pytest.raises(ParseError, match="does not exist"):
             load(m)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (["v1.csv"], "JSON object"),
+            ({"name": "x"}, "'view_files'"),
+            ({"view_files": "v1.csv"}, "'view_files'"),
+            ({"view_files": [3]}, "'view_files'"),
+            ({"view_files": ["v1.csv"], "label_file": 5}, "'label_file'"),
+            ({"view_files": ["v1.csv"], "delimiter": ""}, "'delimiter'"),
+            ({"view_files": ["v1.csv"], "has_header": "false"}, "'has_header'"),
+        ],
+    )
+    def test_malformed_manifest_names_the_key(self, tmp_path, doc, key):
+        (tmp_path / "v1.csv").write_text("1,2\n")
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
+            DatasetManifest.read(mp)
+
 
 def write_qcm_fixture(path, rows=125, semicolons=True, header=True):
     rng = np.random.default_rng(42)

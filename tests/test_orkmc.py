@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from orkmc import online
 from orkmc.errors import ConfigError, ValidationError
 from orkmc.kernels import pg_step, project_simplex
 from orkmc.model import HyperParams, MultiViewDataset, validate
@@ -218,13 +219,11 @@ class TestRun:
         orkmc_run(
             data,
             HyperParams(k=3, chushi=20, seed=0),
-            chunk_size=7,
             progress=lambda t, obj, alpha: calls.append((t, obj, tuple(alpha))),
         )
-        # init callback plus ceil(30 / 7) chunk callbacks
-        assert len(calls) == 1 + 5
-        assert calls[0][0] == 20
-        assert calls[-1][0] == 50
+        # init callback plus one callback per arrival
+        assert len(calls) == 1 + 30
+        assert [t for t, _, _ in calls] == list(range(20, 51))
         assert all(np.isfinite(obj) and obj >= 0 for _, obj, _ in calls)
 
     def test_deterministic(self):
@@ -238,17 +237,62 @@ class TestRun:
         assert a.objective_trace == b.objective_trace
         assert np.array_equal(a.weights.alpha, b.weights.alpha)
 
-    def test_streaming_counters_independent_of_history(self):
+    def test_streaming_counters_independent_of_history(self, monkeypatch):
         rng = np.random.default_rng(13)
         x, _ = separated_rows(rng, 200, 3)
         data = MultiViewDataset(views=(x,))
         state = orkmc_init(data.take_rows(np.arange(50)), HyperParams(k=3, chushi=50))
-        per_step = []
+        sweeps = []
+        pgd_rows = online._pgd_rows
+
+        def counted(*args):
+            out = pgd_rows(*args)
+            sweeps.append(out[2])
+            return out
+
+        monkeypatch.setattr(online, "_pgd_rows", counted)
         for i in range(50, 200):
-            before = state.stats["grad_steps"]
             orkmc_step(state, [x[i]])
-            per_step.append(state.stats["grad_steps"] - before)
-        assert len(set(per_step)) == 1  # constant work per arrival
+        # constant work per arrival: every step runs exactly n_grad sweeps
+        assert sweeps == [state.n_grad] * 150
+
+    def test_freeze_rule(self):
+        rng = np.random.default_rng(15)
+        x, _ = separated_rows(rng, 300, 3)
+        data = MultiViewDataset(views=(x, 0.5 * x[:, ::-1] + rng.normal(size=(300, 2))))
+        hyper = HyperParams(k=3, chushi=40, epsilon=1e-2, seed=2)
+        res = orkmc_run(data, hyper)
+        frozen_at = res.metadata["frozen_at"]
+        assert frozen_at is not None and frozen_at < 250
+
+        state = copy.deepcopy(orkmc_init(data.take_rows(np.arange(40)), hyper))
+        assert state.frozen_at is None
+        first_small = None
+        frozen = None
+        for i in range(40, 300):
+            before = [mv.copy() for mv in state.centers.centers]
+            counts = state.counts.copy()
+            orkmc_step(state, [xv[i] for xv in data.views])
+            k_star = int(np.argmax(state.U_rows[-1]))
+            drift = max(
+                float(np.linalg.norm(mv[k_star] - b[k_star]))
+                for mv, b in zip(state.centers.centers, before)
+            )
+            if first_small is None and drift <= hyper.epsilon:
+                first_small = state.t
+                frozen = (
+                    [mv.tobytes() for mv in state.centers.centers],
+                    state.weights.alpha.tobytes(),
+                )
+            elif frozen is not None:
+                assert [mv.tobytes() for mv in state.centers.centers] == frozen[0]
+                assert state.weights.alpha.tobytes() == frozen[1]
+            expected = counts.copy()
+            expected[k_star] += 1
+            np.testing.assert_array_equal(state.counts, expected)
+            assert len(state.U_rows) == state.t == i + 1
+        assert first_small == frozen_at == state.frozen_at
+        np.testing.assert_array_equal(np.array(state.U_rows), res.assignment.entries)
 
     def test_state_size_is_sufficient_statistics_plus_rows(self):
         rng = np.random.default_rng(14)
@@ -266,11 +310,6 @@ class TestRun:
             + state.weights.alpha.size
         )
         assert stored == k * j * v + t * k + k + v + v
-
-    def test_bad_chunk_size(self):
-        data = MultiViewDataset(views=(np.zeros((4, 1)),))
-        with pytest.raises(ConfigError):
-            orkmc_run(data, HyperParams(k=1, chushi=2), chunk_size=0)
 
     def test_missing_chushi(self):
         data = MultiViewDataset(views=(np.zeros((4, 1)),))

@@ -95,15 +95,14 @@ class TestRkmcFit:
         res = rkmc_fit(data, RkmcConfig(hyper=HyperParams(k=k, max_iter=5)))
         np.testing.assert_allclose(res.weights.alpha, 1.0 / data.n_views)
 
-    def test_permutation_equivariance_random_rows_init(self):
+    def test_permutation_equivariance_kmeanspp_init(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 2)) * 3
         data = MultiViewDataset(views=(x,))
         perm = rng.permutation(30)
         data_perm = MultiViewDataset(views=(x[perm],))
         cfg = RkmcConfig(
-            hyper=HyperParams(k=3, eta=0.5, max_iter=20, seed=9),
-            init="random-rows", n_restarts=1,
+            hyper=HyperParams(k=3, eta=0.5, max_iter=20, seed=9), n_restarts=1,
         )
         res = rkmc_fit(data, cfg)
         res_perm = rkmc_fit(data_perm, cfg)
