@@ -10,13 +10,18 @@ has exactly one implementation here:
   and linear terms ``c = 2 sum_v w_v X_v M_v'`` of the assignment rows'
   quadratic ``1/2 u' H u - c' u``.
 * :func:`pg_step` -- the projected-gradient step length ``1/lambda_max(H)``.
-* ``_pgd_rows`` -- projected gradient on a batch of rows, either to a
-  fixed-point tolerance or for a fixed number of sweeps.
+* ``_pgd_rows`` -- a fixed number of projected-gradient sweeps on a batch of
+  rows (ORKMC's per-arrival update; RKMC's face-finding start).
+* ``_active_set`` -- the exact solver of both RKMC half-steps: a batched
+  primal active-set method for ``min 1/2 x'Ax - b_i'x`` over ``x >= 0``
+  (optionally with ``sum(x) = 1``) for many ``b_i`` sharing one PSD ``A``.
+  It stops at the KKT point of every row, after a few rounds of one stacked
+  (K+1) x (K+1) solve each; singular systems take a flagged ridge fallback.
 * :func:`solve_row_qp` -- minimizer of one row QP over the simplex.
 * :func:`solve_ridge_normal` -- Cholesky solve of symmetric PSD normal
   equations, with a flagged ridge fallback when they are singular.
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
-  by the Lawson-Hanson active-set method (exact termination).
+  for one or many right-hand sides, in Gram form through ``_active_set``.
 * :func:`sq_dists` -- squared Euclidean distances from rows to centers.
 * :func:`cluster_means` -- per-cluster means of the rows with each hard label.
 * :func:`one_hot` -- the one-hot assignment matrix of hard labels.
@@ -43,6 +48,11 @@ from .errors import (
 )
 
 RIDGE_DELTA = 1e-10
+# Default multiplier tolerance of the exact solvers' KKT conditions.
+KKT_TOL = 1e-10
+# The active-set kernel gives up (with a ConvergenceWarning) after this many
+# rounds per coordinate; exact termination takes far fewer.
+MAX_ROUNDS_PER_DIM = 10
 
 
 def _project(y: np.ndarray) -> np.ndarray:
@@ -135,42 +145,140 @@ class RowQP:
         return self.h.shape[0]
 
 
-def _pgd_rows(
-    u0: np.ndarray,
-    h: np.ndarray,
-    c: np.ndarray,
-    step: float,
-    tol: float,
-    max_inner: int,
-) -> tuple:
-    """Projected gradient on the rows of ``u0`` (1-D: one row); each row
-    minimizes ``1/2 u' H u - c_i' u`` over the simplex.
+def _pgd_rows(u0: np.ndarray, h: np.ndarray, c: np.ndarray, step: float, sweeps: int) -> tuple:
+    """``sweeps`` projected-gradient sweeps on the rows of ``u0`` (1-D: one
+    row); each row descends ``1/2 u' H u - c_i' u`` over the simplex.
 
-    Returns ``(u, converged, n_iters)``.  With ``tol > 0`` it stops once the
-    fixed-point residual ``||u - P(u - step * (u H - c))||`` of every row is
-    at most ``tol``; the residual is non-increasing along the iterates, so the
-    returned iterate certifies the tolerance when ``converged``.  With
-    ``tol <= 0`` it runs exactly ``max_inner`` sweeps, computes no residual
-    and reports ``converged=False``.
+    Returns ``(u, False, sweeps)``; the last item is the sweep count.
     """
     u = u0
-    for it in range(max_inner):
-        u_next = _project(u - step * (u @ h - c))
-        if tol > 0:
-            res = np.max(np.sqrt(np.sum((u_next - u) ** 2, axis=-1)))
-            if res <= tol:
-                return u_next, True, it + 1
-        u = u_next
-    return u, False, max_inner
+    for _ in range(sweeps):
+        u = _project(u - step * (u @ h - c))
+    return u, False, sweeps
 
 
-def solve_row_qp(qp: RowQP, u0, tol: float = 1e-10, max_inner: int = 100_000) -> np.ndarray:
+def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
+    """Solve a stack of KKT systems; singular ones take the ridge fallback
+    (``RIDGE_DELTA`` on the diagonal of the ``A`` block) with a warning."""
+    try:
+        z = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+        bad = ~np.isfinite(z).all(axis=1)
+    except np.linalg.LinAlgError:
+        z = np.empty_like(rhs)
+        bad = np.ones(rhs.shape[0], dtype=bool)
+    if bad.any():
+        warnings.warn(
+            f"singular KKT system; applying ridge fallback (delta={RIDGE_DELTA})",
+            RidgeFallbackWarning,
+            stacklevel=3,
+        )
+        ridged = kkt[bad]
+        diag = np.arange(k)
+        ridged[:, diag, diag] += RIDGE_DELTA
+        rb = rhs[bad][..., None]
+        zb = np.linalg.solve(ridged, rb)
+        # One refinement step against the unregularized system takes the
+        # ridge's bias out of the multipliers.
+        zb += np.linalg.solve(ridged, rb - kkt[bad] @ zb)
+        z[bad] = zb[..., 0]
+    return z
+
+
+def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol: float) -> np.ndarray:
+    """Batched primal active-set solve of ``argmin 1/2 x' A x - b_i' x`` over
+    ``x >= 0`` (and ``sum(x) = 1`` when ``simplex``) for every row ``b_i`` of
+    ``b``; all rows share the symmetric PSD ``A``.
+
+    ``x0`` holds one feasible start per row, and its support is the row's
+    first free set.  Each round stacks the (K+1) x (K+1) KKT systems of the
+    rows still active (K x K without the simplex; a fixed coordinate gets an
+    identity row) and solves them in one batched ``np.linalg.solve``, so a
+    call costs about rounds x one (K+1)^3 solve per active row.  A row whose
+    solution leaves the orthant steps back to the first blocking coordinate
+    and fixes it at zero (Lawson-Hanson interpolation); a row at its face
+    optimum frees its most negative multiplier, or stops once every
+    multiplier is at least ``-tol`` (widened to the rounding level of the
+    data).  Every round is a descent step, so no row ends above its start.
+    Singular systems (duplicate centers at eta = 0, identical Gram columns)
+    take the ``RIDGE_DELTA`` fallback and warn :class:`RidgeFallbackWarning`.
+    """
+    n, k = b.shape
+    x = np.array(x0, dtype=np.float64)
+    free = x > 0
+    d = k + 1 if simplex else k
+    base = np.zeros((d, d))
+    base[:k, :k] = a
+    if simplex:
+        base[:k, k] = base[k, :k] = 1.0
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    tol = max(tol, 1e3 * np.finfo(float).eps * scale)
+    pending = np.ones(n, dtype=bool)
+    for _ in range(MAX_ROUNDS_PER_DIM * (k + 1)):
+        rows = np.flatnonzero(pending)
+        if rows.size == 0:
+            break
+        f = free[rows]
+        fm = np.ones((rows.size, d))
+        fm[:, :k] = f
+        kkt = fm[:, :, None] * fm[:, None, :]
+        kkt *= base
+        # A fixed coordinate's row and column are zero but for a unit diagonal.
+        kkt.reshape(rows.size, -1)[:, : k * (d + 1) : d + 1] += ~f
+        rhs = fm.copy()  # the simplex row's right-hand side is 1
+        rhs[:, :k] = np.where(f, b[rows], 0.0)
+        z = _solve_kkt(kkt, rhs, k)
+        zx = np.where(f, z[:, :k], 0.0)
+
+        # Rows that leave the orthant: step back to the first blocking coordinate.
+        block = f & (zx <= 0.0)
+        step = block.any(axis=1)
+        if step.any():
+            xs, zs, bs = x[rows[step]], zx[step], block[step]
+            gap = xs - zs
+            ratio = np.full_like(xs, np.inf)
+            np.divide(xs, gap, out=ratio, where=bs & (gap > 0))
+            ratio[bs & (gap <= 0)] = 0.0
+            alpha = ratio.min(axis=1, keepdims=True)
+            xn = xs + alpha * (zs - xs)
+            drop = (bs & (ratio <= alpha)) | (xn <= 0.0)
+            xn[drop] = 0.0
+            x[rows[step]] = xn
+            free[rows[step]] = f[step] & ~drop
+            # Only the coordinate freed last round can block at once; its
+            # multiplier was rounding noise, so the row is at its KKT point.
+            pending[rows[step][alpha[:, 0] <= 0.0]] = False
+
+        # Rows at their face optimum: free the most negative multiplier, or stop.
+        opt = ~step
+        if opt.any():
+            ro, zo = rows[opt], zx[opt]
+            lam = zo @ a - b[ro]
+            if simplex:
+                lam += z[opt, k:]
+            lam[f[opt]] = np.inf
+            j = lam.argmin(axis=1)
+            add = lam[np.arange(ro.size), j] < -tol
+            x[ro] = zo
+            free[ro[add], j[add]] = True
+            pending[ro[~add]] = False
+    if pending.any():
+        warnings.warn(
+            f"active-set solve stopped with {int(pending.sum())} rows short of KKT",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    if simplex:
+        x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
+def solve_row_qp(qp: RowQP, u0, tol: float = KKT_TOL) -> np.ndarray:
     """Minimize ``1/2 u' H u - c' u`` over the probability simplex.
 
-    ``u0`` must lie on the simplex; the objective never increases relative to
-    ``u0``.  Raises :class:`NumericalError` when ``H`` is not positive
-    definite; warns (and returns the best iterate) when ``max_inner`` runs out
-    before the projected-gradient fixed-point residual drops below ``tol``.
+    ``u0`` must lie on the simplex; the active-set solve starts from its
+    support and stops at a KKT point whose multipliers are at least ``-tol``,
+    so the objective never increases relative to ``u0``.  Raises
+    :class:`NumericalError` when ``H`` is not positive definite.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -183,14 +291,7 @@ def solve_row_qp(qp: RowQP, u0, tol: float = 1e-10, max_inner: int = 100_000) ->
         raise DimensionError(f"u0 has length {start.shape[0]}, expected {qp.k}")
     if np.any(start < -1e-9) or abs(float(start.sum()) - 1.0) > 1e-6:
         raise ValidationError("u0 must lie on the probability simplex")
-    u, converged, _ = _pgd_rows(_project(start), qp.h, qp.c, pg_step(qp.h), tol, max_inner)
-    if not converged:
-        warnings.warn(
-            f"row QP unconverged after {max_inner} projected-gradient steps",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return u
+    return _active_set(qp.h, qp.c[None], _project(start)[None], True, tol)[0]
 
 
 def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> np.ndarray:
@@ -208,63 +309,32 @@ def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> 
         return np.linalg.solve(g + RIDGE_DELTA * np.eye(g.shape[0]), rhs)
 
 
-def nnls(a, b, tol: float = 1e-10) -> np.ndarray:
-    """Solve ``argmin_{m >= 0} ||A m - b||^2`` by Lawson-Hanson active sets.
+def nnls(a, b, tol: float = KKT_TOL, start=None) -> np.ndarray:
+    """Solve ``argmin_{m >= 0} ||A m - b||^2`` for a 1-D ``b``, or for every
+    column of a 2-D ``b`` (the result then has one column per column of ``b``).
 
-    The KKT conditions hold within ``tol`` at the solution: ``m >= 0``,
-    ``g = A'(A m - b) >= -tol`` and ``m * g <= tol`` element-wise.  Degenerate
-    normal equations on the support fall back to a ridge-regularized system
-    (delta = 1e-10) and emit :class:`RidgeFallbackWarning`.
+    All columns share the Gram matrix ``A'A`` and are solved together by the
+    batched active-set kernel, warm-started from ``start`` (same shape as the
+    result, nonnegative; zeros by default).  At the solution ``m >= 0``,
+    ``g = A'(A m - b) >= -tol`` and ``g = 0`` wherever ``m > 0``.  A singular
+    system on the support falls back to a ridge-regularized one
+    (``RIDGE_DELTA``) and emits :class:`RidgeFallbackWarning`.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"A must be 2-D, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"b has length {b.shape[0]}, A has {a.shape[0]} rows")
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise DimensionError(f"b has shape {b.shape}, A has {a.shape[0]} rows")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("nnls inputs must be finite")
-
-    k = a.shape[1]
-    x = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(a.T @ b), initial=0.0)))
-    dual_tol = min(tol, 10.0 * np.finfo(float).eps * max(a.shape) * scale)
-    budget = 200 * (k + 1)
-    while budget > 0:
-        budget -= 1
-        w = a.T @ (b - a @ x)
-        candidates = np.where(~passive, w, -np.inf)
-        j = int(np.argmax(candidates))
-        if candidates[j] <= dual_tol:
-            break
-        passive[j] = True
-        while budget > 0:
-            budget -= 1
-            support = np.flatnonzero(passive)
-            sub = a[:, support]
-            z = solve_ridge_normal(sub.T @ sub, sub.T @ b, what="nnls normal equations")
-            if np.all(z > 0):
-                x[:] = 0.0
-                x[support] = z
-                break
-            x_s = x[support]
-            blocking = z <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = x_s[blocking] / (x_s[blocking] - z[blocking])
-            ratios = np.nan_to_num(ratios, nan=0.0, posinf=0.0, neginf=0.0)
-            alpha = float(np.min(ratios))
-            x[support] = x_s + alpha * (z - x_s)
-            drop = support[x[support] <= 1e-14]
-            passive[drop] = False
-            x[drop] = 0.0
-    else:
-        warnings.warn(
-            "nnls hit its iteration budget before exact termination",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return x
+    shape = (a.shape[1],) + b.shape[1:]
+    x0 = np.zeros(shape) if start is None else np.asarray(start, dtype=np.float64)
+    if x0.shape != shape or not np.all(x0 >= 0.0):
+        raise ValidationError(f"nnls start must be nonnegative with shape {shape}")
+    cols = b.reshape(b.shape[0], -1)
+    x0 = x0.reshape(a.shape[1], -1).T
+    return _active_set(a.T @ a, (a.T @ cols).T, x0, False, tol).T.reshape(shape)
 
 
 def sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -5,10 +5,16 @@ The objective is the penalized matrix-factorization form of K-means,
     sum_v ||X_v - U M_v||_F^2  +  eta * trace(U U'),
 
 minimized over row-stochastic ``U`` and per-view centers ``M_v`` by
-alternating exact subproblem solves: every row of ``U`` is a small
-simplex-constrained QP, every column of ``M_v`` a (nonnegative) least-squares
-problem.  Both half-steps are monotone, so the objective trace never
-increases outside of logged center re-seed events.
+alternating exact subproblem solves.  Every row of ``U`` is a small
+simplex-constrained QP with the shared Hessian ``2 (sum_v M_v M_v' + eta I)``;
+two projected-gradient sweeps from the previous ``U`` pick each row's starting
+face, and the batched active-set kernel solves all rows to their KKT
+conditions.  Every column of ``M_v`` is a least-squares problem with the
+shared Gram matrix ``U_live' U_live``: the normal equations for mixed-sign
+data, or, when the data is nonnegative, one batched NNLS per view,
+warm-started from the previous centers.  Both half-steps are monotone, so the
+objective trace never increases outside of logged center re-seed events;
+singular systems take a flagged ridge fallback.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import numpy as np
 
 from . import metrics
 from ._util import select_initial_rows
-from .errors import ConfigError, ConvergenceWarning, DataWarning, DegenerateClusterWarning
+from .errors import ConfigError, DataWarning, DegenerateClusterWarning
 from .kernels import (
+    KKT_TOL,
+    _active_set,
     _pgd_rows,
     assignment_qp,
     data_nonneg,
@@ -45,8 +53,9 @@ from .model import (
 
 DEAD_MASS = 1e-12
 RESEED_AFTER = 3
-INNER_TOL = 1e-7
-MAX_INNER = 2000
+# Projected-gradient sweeps that pick each assignment row's starting face
+# before the exact active-set solve (More & Toraldo 1991).
+FACE_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -85,15 +94,14 @@ def update_U(
     eta: float,
     *,
     mode: str = "soft",
-    tol: float = INNER_TOL,
-    max_inner: int = MAX_INNER,
 ) -> AssignmentMatrix:
     """Minimize every assignment row at fixed centers; never increases the objective.
 
     Soft mode solves the per-row simplex QP with Hessian
-    ``2 (sum_v M_v M_v' + eta I)`` by projected gradient (all rows vectorized,
-    warm-started from ``u_prev``) and emits :class:`ConvergenceWarning` when
-    ``max_inner`` sweeps end before the fixed-point residual reaches ``tol``.
+    ``2 (sum_v M_v M_v' + eta I)`` exactly: ``FACE_SWEEPS`` projected-gradient
+    sweeps from ``u_prev`` (uniform rows when None) pick each row's starting
+    face, and the batched active-set kernel then solves all rows to their KKT
+    conditions, at about one stacked (K+1) x (K+1) solve per round.
     Hard mode picks the best simplex vertex, i.e. the nearest center.
     """
     k = m.k
@@ -104,14 +112,8 @@ def update_U(
 
     h, c = assignment_qp(data.views, m.centers, np.ones(data.n_views), eta)
     start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev.entries
-    u, converged, _ = _pgd_rows(start, h, c, pg_step(h), tol, max_inner)
-    if not converged:
-        warnings.warn(
-            f"assignment update unconverged after {max_inner} projected-gradient sweeps",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return AssignmentMatrix(u)
+    u, _, _ = _pgd_rows(start, h, c, pg_step(h), FACE_SWEEPS)
+    return AssignmentMatrix(_active_set(h, c, u, True, KKT_TOL))
 
 
 def update_M(
@@ -123,10 +125,11 @@ def update_M(
 ) -> CenterSet:
     """Least-squares center update at fixed assignments.
 
-    Per view, ``M_v = argmin ||X_v - U M_v||_F^2`` (column-wise NNLS when
-    nonnegativity is enforced, otherwise the normal equations with a ridge
-    fallback).  Clusters whose soft mass vanished keep their previous centers
-    and a :class:`DegenerateClusterWarning` is emitted.
+    Per view, ``M_v = argmin ||X_v - U M_v||_F^2``: with nonnegativity
+    enforced, one :func:`~orkmc.kernels.nnls` call solves every column
+    exactly, warm-started from ``prev``; otherwise the normal equations with
+    a ridge fallback.  Clusters whose soft mass vanished keep their previous
+    centers and a :class:`DegenerateClusterWarning` is emitted.
     """
     uu = u.entries
     k = uu.shape[1]
@@ -146,7 +149,7 @@ def update_M(
         mv = np.zeros((k, x.shape[1])) if prev is None else prev.centers[v].copy()
         if np.any(live):
             if enforce_nonneg:
-                mv[live] = np.column_stack([nnls(ul, x[:, j]) for j in range(x.shape[1])])
+                mv[live] = nnls(ul, x, start=np.maximum(mv[live], 0.0))
             else:
                 mv[live] = solve_ridge_normal(g, ul.T @ x, what="center normal equations")
         out.append(mv)

@@ -144,7 +144,7 @@ def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState
     hard = np.zeros(t0, dtype=np.intp)
     for _ in range(hyper.max_iter):
         h, c, step = _row_qp(state, data_prefix.views)
-        u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, 0.0, n_grad)
+        u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, n_grad)
         hard = np.argmax(u, axis=1)
         drift = 0.0
         for x, mv in zip(data_prefix.views, centers.centers):
@@ -191,7 +191,7 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     hyper = state.hyper
     k = hyper.k
     h, c, step = _row_qp(state, xs)
-    u, _, _ = _pgd_rows(np.full(k, 1.0 / k), h, c, step, 0.0, state.n_grad)
+    u, _, _ = _pgd_rows(np.full(k, 1.0 / k), h, c, step, state.n_grad)
 
     k_star = int(np.argmax(u))
     state.counts[k_star] += 1

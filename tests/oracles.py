@@ -131,6 +131,38 @@ def nnls_enum(a, b):
     return best
 
 
+def simplex_qp_kkt(h, c, u):
+    """KKT violations of ``u`` for ``min 1/2 u'Hu - c'u`` on the simplex, as
+    ``(primal, dual, complementarity)`` relative to ``max(1, |H|, |c|)``.
+
+    The gradient is ``g = Hu - c``; on the support every ``g_i`` equals the
+    same value, so the multipliers are ``lambda_i = g_i - sum_j u_j g_j``.
+    """
+    k = len(u)
+    g = [sum(h[i][j] * u[j] for j in range(k)) - c[i] for i in range(k)]
+    level = sum(u[i] * g[i] for i in range(k))
+    lam = [g[i] - level for i in range(k)]
+    scale = max([1.0] + [abs(v) for row in h for v in row] + [abs(v) for v in c])
+    primal = max(max(-v for v in u), abs(sum(u) - 1.0))
+    dual = max(0.0, max(-v for v in lam)) / scale
+    comp = max(abs(u[i] * lam[i]) for i in range(k)) / scale
+    return primal, dual, comp
+
+
+def nnls_kkt(g, b, x):
+    """KKT violations of ``x`` for ``min 1/2 x'Gx - b'x`` over ``x >= 0`` (the
+    Gram form of NNLS), as ``(primal, dual, complementarity)`` relative to
+    ``max(1, |G| max(1, |x|), |b|)``; the multipliers are ``Gx - b``."""
+    k = len(x)
+    lam = [sum(g[i][j] * x[j] for j in range(k)) - b[i] for i in range(k)]
+    big_x = max([1.0] + [abs(v) for v in x])
+    scale = max([1.0, big_x * max(abs(v) for row in g for v in row)] + [abs(v) for v in b])
+    primal = max(0.0, max(-v for v in x))
+    dual = max(0.0, max(-v for v in lam)) / scale
+    comp = max(abs(x[i] * lam[i]) for i in range(k)) / (scale * big_x)
+    return primal, dual, comp
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -42,6 +43,7 @@ from orkmc.baselines import (
 from orkmc.cli import main as cli_main
 from orkmc.dataio import load_qcm, load_result, save_dataset
 from orkmc.datagen import SimSpec, add_shuffled_noise_view, generate, preset
+from orkmc.errors import ConvergenceWarning
 from orkmc.metrics import nmi, pair_scores, purity
 from orkmc.model import CenterSet
 from orkmc.offline import update_M, update_U
@@ -146,7 +148,9 @@ def test_c03_rkmc_monotonicity():
             )
             data = MultiViewDataset(views=views)
             hyper = HyperParams(k=k, eta=etas[i % 3], max_iter=20, seed=i)
-            res = rkmc_fit(data, RkmcConfig(hyper=hyper))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ConvergenceWarning)
+                res = rkmc_fit(data, RkmcConfig(hyper=hyper))
             skip = set(res.metadata["reseed_steps"])
             trace = res.objective_trace
             for t in range(1, len(trace)):

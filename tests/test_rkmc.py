@@ -8,12 +8,11 @@ import pytest
 import oracles
 from orkmc.errors import (
     ConfigError,
-    ConvergenceWarning,
     DataWarning,
     DegenerateClusterWarning,
     RidgeFallbackWarning,
 )
-from orkmc.kernels import cluster_means, one_hot
+from orkmc.kernels import assignment_qp, cluster_means, one_hot
 from orkmc.model import (
     AssignmentMatrix,
     CenterSet,
@@ -145,14 +144,14 @@ class TestUpdateU:
     def test_row_at_center_goes_to_vertex(self):
         m = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         data = MultiViewDataset(views=(m[[1]],))
-        u = update_U(data, CenterSet((m,)), None, eta=0.0, tol=1e-12, max_inner=50_000)
+        u = update_U(data, CenterSet((m,)), None, eta=0.0)
         np.testing.assert_allclose(u.entries[0], [0.0, 1.0, 0.0], atol=1e-6)
 
     def test_huge_eta_pushes_uniform(self):
         rng = np.random.default_rng(12)
         data = MultiViewDataset(views=(rng.normal(size=(5, 3)),))
         m = CenterSet((rng.normal(size=(4, 3)),))
-        u = update_U(data, m, None, eta=1e6, tol=1e-12, max_inner=20_000)
+        u = update_U(data, m, None, eta=1e6)
         np.testing.assert_allclose(u.entries, 0.25, atol=1e-3)
 
     def test_rows_match_enumeration_oracle(self):
@@ -161,7 +160,7 @@ class TestUpdateU:
         m = rng.normal(size=(3, 2))
         eta = 0.7
         data = MultiViewDataset(views=(x,))
-        u = update_U(data, CenterSet((m,)), None, eta=eta, tol=1e-12, max_inner=100_000)
+        u = update_U(data, CenterSet((m,)), None, eta=eta)
         h = 2.0 * (m @ m.T + eta * np.eye(3))
         for i in range(5):
             c = 2.0 * (m @ x[i])
@@ -180,13 +179,46 @@ class TestUpdateU:
         after = objective_rkmc(data, u1, m, 0.5)
         assert after <= before + 1e-9
 
-    def test_exhausted_sweep_budget_warns(self):
+    @pytest.mark.filterwarnings("ignore::orkmc.errors.DegenerateClusterWarning")
+    def test_rows_and_columns_meet_kkt_certificates(self):
         rng = np.random.default_rng(19)
-        data = MultiViewDataset(views=(rng.normal(size=(20, 2)),))
-        m = CenterSet((rng.normal(size=(3, 2)),))
-        with pytest.warns(ConvergenceWarning):
-            u = update_U(data, m, None, eta=0.5, tol=1e-14, max_inner=1)
+        for eta in (0.0, 0.5, 5.0):
+            x = np.abs(rng.normal(size=(30, 3))) * 2
+            data = MultiViewDataset(views=(x, np.abs(rng.normal(size=(30, 2)))))
+            m = CenterSet(tuple(np.abs(rng.normal(size=(5, v.shape[1]))) for v in data.views))
+            u = update_U(data, m, None, eta=eta)
+            h, c = assignment_qp(data.views, m.centers, np.ones(2), eta)
+            for row, ci in zip(u.entries, c):
+                assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-9
+            new = update_M(data, u, enforce_nonneg=True, prev=m)
+            for xv, mv in zip(data.views, new.centers):
+                g, b = u.entries.T @ u.entries, u.entries.T @ xv
+                for col in range(xv.shape[1]):
+                    assert max(oracles.nnls_kkt(g, b[:, col], mv[:, col])) <= 1e-9
+
+
+class TestSingularKktFallback:
+    def test_duplicate_centers_at_eta_zero(self):
+        rng = np.random.default_rng(21)
+        m = np.tile([1.0, 2.0], (3, 1))  # exact entries: every KKT row is equal
+        data = MultiViewDataset(views=(rng.normal(size=(12, 2)),))
+        with pytest.warns(RidgeFallbackWarning):
+            u = update_U(data, CenterSet((m,)), None, eta=0.0)
+        assert np.all(u.entries >= 0.0)
         np.testing.assert_allclose(u.entries.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_identical_live_columns_in_nnls(self):
+        rng = np.random.default_rng(22)
+        x = np.abs(rng.normal(size=(8, 2)))
+        half = rng.integers(1, 4, size=(8, 1)) / 8.0  # dyadic: U'U has two equal rows
+        u = np.hstack([half, half, 1.0 - 2.0 * half])
+        prev = CenterSet((np.abs(rng.normal(size=(3, 2))) + 0.5,), nonneg_enforced=True)
+        data = MultiViewDataset(views=(x,))
+        with pytest.warns(RidgeFallbackWarning):
+            m = update_M(data, AssignmentMatrix(u), enforce_nonneg=True, prev=prev)
+        assert np.all(np.isfinite(m.centers[0])) and np.all(m.centers[0] >= 0.0)
+        before = float(np.sum((x - u @ prev.centers[0]) ** 2))
+        assert float(np.sum((x - u @ m.centers[0]) ** 2)) <= before
 
 
 class TestUpdateM:
