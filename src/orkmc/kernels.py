@@ -244,9 +244,6 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
             xn[drop] = 0.0
             x[rows[step]] = xn
             free[rows[step]] = f[step] & ~drop
-            # Only the coordinate freed last round can block at once; its
-            # multiplier was rounding noise, so the row is at its KKT point.
-            pending[rows[step][alpha[:, 0] <= 0.0]] = False
 
         # Rows at their face optimum: free the most negative multiplier, or stop.
         opt = ~step

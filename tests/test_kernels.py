@@ -8,6 +8,7 @@ from orkmc.errors import NumericalError, RidgeFallbackWarning, ValidationError
 from orkmc.kernels import (
     RowQP,
     _project,
+    _solve_kkt,
     nnls,
     project_simplex,
     solve_ridge_normal,
@@ -121,6 +122,13 @@ class TestRidgeFallback:
         with pytest.warns(RidgeFallbackWarning):
             x = solve_ridge_normal(g, np.array([1.0, 1.0]))
         assert np.all(np.isfinite(x))
+
+    def test_singular_kkt_stack_is_solved_without_ridge_bias(self):
+        kkt = np.array([[[4.0, 4.0], [4.0, 4.0]], [[2.0, 0.0], [0.0, 3.0]]])
+        rhs = np.array([[2.0, 2.0], [2.0, 3.0]])  # the singular system is consistent
+        with pytest.warns(RidgeFallbackWarning):
+            z = _solve_kkt(kkt, rhs, 2)
+        np.testing.assert_allclose(np.einsum("nij,nj->ni", kkt, z), rhs, rtol=0, atol=1e-14)
 
 
 class TestNnls:

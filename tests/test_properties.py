@@ -18,7 +18,12 @@ from orkmc.kernels import _active_set, assignment_qp, nnls
 from orkmc.model import AssignmentMatrix, CenterSet, MultiViewDataset
 from orkmc.offline import update_M, update_U
 
-pytestmark = pytest.mark.filterwarnings("error::orkmc.errors.ConvergenceWarning")
+pytestmark = [
+    pytest.mark.filterwarnings("error::orkmc.errors.ConvergenceWarning"),
+    # On a failure hypothesis's pytest plugin imports libcst to write a patch,
+    # and libcst's import warns; as an error it would abort the whole session.
+    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 KKT = 1e-9
 

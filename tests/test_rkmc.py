@@ -198,6 +198,29 @@ class TestUpdateU:
 
 
 class TestSingularKktFallback:
+    @pytest.mark.filterwarnings("error::orkmc.errors.ConvergenceWarning")
+    def test_rank_one_hessian_terminates_at_kkt(self):
+        # One feature and eta = 0: every face has flat directions, and a
+        # multiplier at rounding level once made the active set cycle.
+        m = np.array([[3.1593472634602744], [5.329473911450979], [-7.65987551537104],
+                      [-0.41389518413522425], [3.04115822715983], [4.056425476145973]])
+        x = np.array([[1.9613651532486167], [4.491353557763513], [0.8698727740990441]])
+        u0 = np.array([
+            [0.2783883884287355, 0.0021499100678414795, 0.4327550165883857,
+             0.23037980760473825, 0.04921221840259072, 0.007114658907708441],
+            [0.018361042407418867, 0.06418219228472707, 0.7080170315407588,
+             0.08656869325700682, 0.06899119209265231, 0.053879848417436316],
+            [0.2992143005378238, 0.12390366080122169, 0.14792071980933408,
+             0.041996095134398774, 0.34034811205629933, 0.046617111660922535],
+        ])
+        data = MultiViewDataset(views=(x,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RidgeFallbackWarning)
+            u = update_U(data, CenterSet((m,)), AssignmentMatrix(u0), eta=0.0)
+        h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
+        for row, ci in zip(u.entries, c):
+            assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-9
+
     def test_duplicate_centers_at_eta_zero(self):
         rng = np.random.default_rng(21)
         m = np.tile([1.0, 2.0], (3, 1))  # exact entries: every KKT row is equal
