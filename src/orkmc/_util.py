@@ -1,66 +1,57 @@
 """Seeded randomness helpers.
 
-All randomness in the package flows through two primitives:
-
-* ``rng_for(seed, tag)`` -- independent numpy generators keyed by (seed, purpose),
-  so adding a new consumer of randomness never shifts the draws of another.
-* content-keyed kmeans++ seeding -- every draw of :func:`select_initial_rows`
-  is keyed by hashing row *contents* together with (seed, tag).  Selection
-  therefore commutes with any permutation of the rows, which makes the fitted
-  labels permutation-equivariant while staying deterministic in the seed.
+All randomness in the package flows through one primitive, ``rng_for(seed,
+tag)``: independent numpy generators keyed by (seed, purpose), so adding a new
+consumer of randomness never shifts the draws of another.  kmeans++ seeding
+(:func:`select_initial_rows`) draws from it too, assigning the uniforms to the
+rows in a content order, so permuting the rows permutes the draws with them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:
-    """Return a generator keyed by ``(seed, tag)``."""
-    entropy = [int(seed) & 0xFFFFFFFF] + list(tag.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _row_hash01(seed: int, tag: str, row_bytes: bytes) -> float:
-    """Uniform-looking value in (0, 1) derived from a row's byte content."""
-    key = f"{seed}:{tag}".encode("utf-8")[:64]
-    h = hashlib.blake2b(row_bytes, key=key, digest_size=8).digest()
-    v = int.from_bytes(h, "big")
-    return (v + 0.5) / 2.0**64
-
-
-def _content_keys(x: np.ndarray, seed: int, tag: str) -> np.ndarray:
-    rows = np.ascontiguousarray(x, dtype=np.float64)
-    return np.array([_row_hash01(seed, tag, rows[i].tobytes()) for i in range(rows.shape[0])])
+    """Return a generator keyed by ``(seed, tag)``; ``seed`` must lie in [0, 2**32)."""
+    seed = int(seed)
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed] + list(tag.encode("utf-8"))))
 
 
 def select_initial_rows(x: np.ndarray, k: int, seed: int, tag: str) -> np.ndarray:
     """Pick ``k`` distinct row indices of ``x`` to seed cluster centers.
 
-    Greedy kmeans++ (D^2) seeding: the first row has the largest content key,
-    and each later step draws a few D^2-weighted candidates and keeps the one
-    that lowers the total squared distance to the chosen rows the most.  Every
-    draw is deterministic in ``(seed, tag)`` and keyed by row content, so
-    permuting the rows of ``x`` selects the same data points.
+    Greedy kmeans++ (D^2) seeding: the first row has the largest key, and each
+    later step draws a few D^2-weighted candidates and keeps the one that
+    lowers the total squared distance to the chosen rows the most.  Each step's
+    keys are fresh uniforms from ``rng_for(seed, tag)`` handed out in
+    lexicographic order of the rows, so permuting the rows of ``x`` selects the
+    same data points.
     """
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    rng = rng_for(seed, tag)
+    order = np.lexsort(x.T)
+    keys = np.empty(n)
     taken = np.zeros(n, dtype=bool)
     chosen: list[int] = []
 
-    first_keys = _content_keys(x, seed, tag + ":0")
-    i0 = int(np.argmax(first_keys))
+    keys[order] = rng.random(n)
+    i0 = int(np.argmax(keys))
     chosen.append(i0)
     taken[i0] = True
     d2 = np.sum((x - x[i0]) ** 2, axis=1)
 
     n_candidates = 2 + int(math.ceil(math.log(max(k, 2))))
-    for step in range(1, k):
-        keys = _content_keys(x, seed, f"{tag}:{step}")
+    for _ in range(1, k):
+        keys[order] = rng.random(n)
         # Efraimidis-Spirakis exponential keys: ordering by log(u)/w draws
         # row i with probability proportional to w_i = d2_i.
         score = np.full(n, -np.inf)
@@ -69,16 +60,16 @@ def select_initial_rows(x: np.ndarray, k: int, seed: int, tag: str) -> np.ndarra
         if not np.any(np.isfinite(score)):
             score[~taken] = keys[~taken]
         cand = np.argsort(-score, kind="stable")[:n_candidates]
-        best_i, best_pot = -1, np.inf
+        best_i, best_pot, best_d2 = -1, np.inf, d2
         for i in cand:
             if score[i] == -np.inf and best_i >= 0:
                 continue
-            alt = np.sum((x - x[i]) ** 2, axis=1)
-            pot = float(np.minimum(d2, alt).sum())
+            alt = np.minimum(d2, np.sum((x - x[i]) ** 2, axis=1))
+            pot = float(alt.sum())
             if pot < best_pot:
-                best_i, best_pot = int(i), pot
+                best_i, best_pot, best_d2 = int(i), pot, alt
         chosen.append(best_i)
         taken[best_i] = True
-        d2 = np.minimum(d2, np.sum((x - x[best_i]) ** 2, axis=1))
+        d2 = best_d2
 
     return np.asarray(chosen, dtype=np.intp)

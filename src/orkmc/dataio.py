@@ -12,6 +12,7 @@ result document); in memory the hard labels are 0-based row indices.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -46,7 +47,8 @@ class DatasetManifest:
     @classmethod
     def read(cls, path) -> "DatasetManifest":
         """Parse a manifest file; a missing key or a value of the wrong JSON
-        type is a :class:`ParseError` that names the key."""
+        type (``k_true`` must be a positive integer or null) is a
+        :class:`ParseError` that names the key."""
         path = os.fspath(path)
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -66,6 +68,9 @@ class DatasetManifest:
         delimiter = doc.get("delimiter", ",")
         if not isinstance(delimiter, str) or not delimiter:
             raise ParseError(f"{path}: manifest key 'delimiter' must be a non-empty string")
+        k_true = doc.get("k_true")
+        if k_true is not None and (type(k_true) is not int or k_true < 1):
+            raise ParseError(f"{path}: manifest key 'k_true' must be a positive integer or null")
         has_header = doc.get("has_header", False)
         if not isinstance(has_header, bool):
             raise ParseError(f"{path}: manifest key 'has_header' must be true or false")
@@ -78,7 +83,7 @@ class DatasetManifest:
             name=doc.get("name", os.path.basename(path)),
             view_files=tuple(resolve(p) for p in view_files),
             label_file=resolve(label_file) if label_file else None,
-            k_true=doc.get("k_true"),
+            k_true=k_true,
             delimiter=delimiter,
             has_header=has_header,
         )
@@ -124,7 +129,7 @@ def read_matrix(path, delimiter: str = ",", has_header: bool = False) -> np.ndar
                     raise ParseError(
                         f"{path}: non-numeric cell at row {row_no}, column {col_no}: {tok!r}"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ParseError(
                         f"{path}: non-finite value at row {row_no}, column {col_no}: {tok!r}"
                     )

@@ -66,7 +66,7 @@ class RkmcConfig:
     the balance parameter r play no role offline; r is recorded only under
     ``metadata["hyper"]``).  Centers are kept nonnegative exactly when the
     data is.  Each restart seeds its centers at K data rows chosen by
-    content-keyed kmeans++ (:func:`~orkmc._util.select_initial_rows`), unless
+    kmeans++ (:func:`~orkmc._util.select_initial_rows`), unless
     ``initial_centers`` is given, which makes a single run from those centers.
     ``assignment="soft"`` solves each row QP over the simplex; ``"hard"``
     restricts rows to the simplex vertices (classic nearest-center updates).

@@ -104,7 +104,8 @@ def _row_qp(state: OnlineState, xs) -> tuple:
 def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     """Warm-start on the initial batch.
 
-    Centers are seeded from K distinct prefix rows and the view weights start
+    Centers are seeded by kmeans++ at K distinct prefix rows
+    (:func:`~orkmc._util.select_initial_rows`) and the view weights start
     uniform at 1/V.  Up to ``max_iter`` times, every prefix row gets the
     assignment update (from the uniform row, ``min(DEFAULT_N_GRAD, max_iter)``
     sweeps) that arrivals get, and each center moves to the mean of its

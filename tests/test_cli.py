@@ -72,6 +72,14 @@ class TestExitCodes:
         assert code == 1
         assert "'view_files'" in err
 
+    def test_out_of_range_seed_is_runtime_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--n", "20", "--k", "2", "--seed", "4294967297",
+            "--out-dir", str(tmp_path / "d"),
+        )
+        assert code == 1
+        assert "4294967297" in err
+
     def test_unknown_preset_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--preset", "nope", "--out-dir", str(tmp_path / "d")

@@ -25,6 +25,11 @@ class TestSimSpec:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("seed", [2**32 + 1, -1])
+    def test_seed_outside_32_bits_is_rejected_not_aliased(self, seed):
+        with pytest.raises(ConfigError, match=str(seed)):
+            generate(SimSpec(n=10, k=2, seed=seed))
+
     def test_single_component_mean(self):
         data = generate(SimSpec(n=4000, k=1, v=1, j=2, seed=0))
         assert len(set(np.asarray(data.labels).tolist())) == 1

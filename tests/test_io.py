@@ -125,6 +125,11 @@ class TestManifest:
             ({"view_files": ["v1.csv"], "label_file": 5}, "'label_file'"),
             ({"view_files": ["v1.csv"], "delimiter": ""}, "'delimiter'"),
             ({"view_files": ["v1.csv"], "has_header": "false"}, "'has_header'"),
+            ({"view_files": ["v1.csv"], "k_true": True}, "'k_true'"),
+            ({"view_files": ["v1.csv"], "k_true": "5"}, "'k_true'"),
+            ({"view_files": ["v1.csv"], "k_true": -3}, "'k_true'"),
+            ({"view_files": ["v1.csv"], "k_true": 0}, "'k_true'"),
+            ({"view_files": ["v1.csv"], "k_true": 2.5}, "'k_true'"),
         ],
     )
     def test_malformed_manifest_names_the_key(self, tmp_path, doc, key):
