@@ -16,11 +16,18 @@ import numpy as np
 from .errors import ConfigError
 
 
-def rng_for(seed: int, tag: str) -> np.random.Generator:
-    """Return a generator keyed by ``(seed, tag)``; ``seed`` must lie in [0, 2**32)."""
+def check_seed(seed) -> int:
+    """Return ``seed`` as an int, or raise :class:`ConfigError` unless it lies
+    in [0, 2**32): the one range check for every seed in the package."""
     seed = int(seed)
     if not 0 <= seed < 2**32:
         raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
+    return seed
+
+
+def rng_for(seed: int, tag: str) -> np.random.Generator:
+    """Return a generator keyed by ``(seed, tag)``; ``seed`` must lie in [0, 2**32)."""
+    seed = check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([seed] + list(tag.encode("utf-8"))))
 
 

@@ -59,10 +59,8 @@ def _data_dir() -> str:
     return os.environ.get("ORKM_DATA_DIR", "data")
 
 
-def _hyper_from_args(args, n_samples: int) -> HyperParams:
-    chushi = args.chushi
-    if chushi is None and args.algo in ("orkmc", "ogd", "omu"):
-        chushi = max(args.k, n_samples // 10)
+def _hyper_from_args(args) -> HyperParams:
+    """Validate every hyperparameter flag; runs before the dataset is parsed."""
     return HyperParams(
         k=args.k,
         eta=args.yita,
@@ -70,9 +68,15 @@ def _hyper_from_args(args, n_samples: int) -> HyperParams:
         gamma=args.gamma,
         epsilon=args.epsilon,
         max_iter=args.max_iter,
-        chushi=chushi,
+        chushi=args.chushi,
         seed=args.seed,
     )
+
+
+def _with_default_chushi(hyper: HyperParams, algo: str, n_samples: int) -> HyperParams:
+    if hyper.chushi is None and algo in ("orkmc", "ogd", "omu"):
+        return replace(hyper, chushi=max(hyper.k, n_samples // 10))
+    return hyper
 
 
 def _run_algorithm(algo: str, data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
@@ -119,8 +123,9 @@ def _summary_line(algo: str, data: MultiViewDataset, result: ClusterResult) -> s
 
 
 def cmd_fit(args) -> int:
+    hyper = _hyper_from_args(args)
     data = dataio.load(dataio.DatasetManifest.read(args.data))
-    hyper = _hyper_from_args(args, data.n_samples)
+    hyper = _with_default_chushi(hyper, args.algo, data.n_samples)
     result = _run_algorithm(args.algo, data, hyper)
     dataio.save_result(result, args.out)
     print(_summary_line(args.algo, data, result))
@@ -130,8 +135,9 @@ def cmd_fit(args) -> int:
 def cmd_stream(args) -> int:
     if args.emit_every < 1:
         raise UsageError(f"--emit-every must be >= 1, got {args.emit_every}")
+    hyper = _hyper_from_args(args)
     data = dataio.load(dataio.DatasetManifest.read(args.data))
-    hyper = _hyper_from_args(args, data.n_samples)
+    hyper = _with_default_chushi(hyper, args.algo, data.n_samples)
     n = data.n_samples
     chushi = hyper.chushi
     alpha_header = ",".join(f"alpha_{v + 1}" for v in range(data.n_views))

@@ -5,6 +5,15 @@ a small JSON manifest pointing at one file per view plus an optional label
 file, and results as a JSON document.  Floats are written with their shortest
 round-tripping representation, so save/load cycles are bit-exact.
 
+Both directions run in C.  :func:`read_matrix` parses with ``np.loadtxt``; its
+Python row loop (:func:`_read_matrix_rows`) runs only when that parse fails,
+warns or yields no rows or a non-finite cell, and then either accepts the
+file (whitespace-only lines, ``1_0`` cells) or raises the :class:`ParseError`
+that names the row and column.  :func:`save_result` writes its document in
+pieces encoded by ``json.dumps`` (the C encoder; ``json.dump`` would run the
+pure-Python one), ``U`` in blocks of :data:`RESULT_BLOCK_ROWS` rows, so the
+bytes equal ``json.dumps(document)`` without holding that string in memory.
+
 Cluster labels are 1-based in every file (and in the ``result`` field of a
 result document); in memory the hard labels are 0-based row indices.
 """
@@ -14,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +36,7 @@ QCM_ROWS = 125
 QCM_FEATURES = 10
 QCM_LABEL_COLS = 5
 QCM_BLOCK = 25
+RESULT_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,37 @@ class DatasetManifest:
 
 
 def read_matrix(path, delimiter: str = ",", has_header: bool = False) -> np.ndarray:
-    """Parse a numeric matrix; errors carry the 1-based row/column location."""
+    """Parse a numeric matrix; errors carry the 1-based row/column location.
+
+    ``np.loadtxt`` parses the file.  Its array is returned only when the call
+    raised nothing, warned nothing and gave a non-empty, all-finite array;
+    every other outcome (a bad cell, a ragged or whitespace-only line, a
+    multi-character delimiter, an empty file) reruns the parse in
+    :func:`_read_matrix_rows`, which returns the same array where both accept
+    a file and otherwise raises the located :class:`ParseError`.
+    """
+    path = os.fspath(path)
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            m = np.loadtxt(
+                fh, delimiter=delimiter, comments=None, skiprows=int(has_header),
+                ndmin=2, dtype=np.float64, encoding="utf-8",
+            )
+        except (ValueError, TypeError):  # a bad cell or row; a delimiter loadtxt refuses
+            m = None
+    if m is not None and not caught and m.size and np.isfinite(m).all():
+        return m
+    return _read_matrix_rows(path, delimiter, has_header)
+
+
+def _read_matrix_rows(path, delimiter: str = ",", has_header: bool = False) -> np.ndarray:
+    """Parse a numeric matrix one line and one cell at a time.
+
+    The reference semantics of :func:`read_matrix`: blank and whitespace-only
+    lines are skipped, the header is physical line 1, every cell goes through
+    ``float`` and must be finite.  It locates the first bad row or cell.
+    """
     path = os.fspath(path)
     rows: list[list[float]] = []
     width = None
@@ -222,20 +263,31 @@ def load_qcm(path) -> MultiViewDataset:
 def save_result(result: ClusterResult, path) -> None:
     """Write a result document: hard labels (1-based), the soft matrix, per-view
     weights and centers, the optional NMI, the objective trace, the elapsed
-    time and the configuration echo."""
-    doc = {
-        "result": (np.asarray(result.assignment.hard_labels) + 1).tolist(),
-        "U": result.assignment.entries.tolist(),
+    time and the configuration echo.
+
+    The file holds ``json.dumps(document) + "\\n"`` byte for byte, written as
+    three ``json.dumps`` pieces: the ``"result"`` head, ``U`` in blocks of
+    :data:`RESULT_BLOCK_ROWS` rows, and the tail from ``"weight"`` on.  The
+    head and tail are encoded before the file is opened, so a metadata value
+    JSON cannot encode raises without leaving a partial file.
+    """
+    head = json.dumps({"result": (np.asarray(result.assignment.hard_labels) + 1).tolist()})
+    tail = json.dumps({
         "weight": result.weights.alpha.tolist(),
         "center": [m.tolist() for m in result.centers.centers],
         "nmi": None if result.nmi is None else float(result.nmi),
         "objective_trace": [float(v) for v in result.objective_trace],
         "elapsed_seconds": float(result.elapsed_seconds),
         "config": result.metadata,
-    }
+    })
+    u = result.assignment.entries
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "U": [')
+        for i in range(0, u.shape[0], RESULT_BLOCK_ROWS):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(u[i:i + RESULT_BLOCK_ROWS].tolist())[1:-1])
+        fh.write("], " + tail[1:] + "\n")
 
 
 def load_result(path) -> dict:

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import check_seed
 from .errors import ConfigError, DimensionError, ValidationError
 
 ROW_SUM_TOL = 1e-9
@@ -215,8 +216,9 @@ class HyperParams:
                     f"chushi must be >= k (need at least k points to seed k centers), "
                     f"got chushi={self.chushi}, k={self.k}"
                 )
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        check_seed(self.seed)
 
     def as_dict(self) -> dict:
         return {

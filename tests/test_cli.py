@@ -80,6 +80,25 @@ class TestExitCodes:
         assert code == 1
         assert "4294967297" in err
 
+    def test_fit_rejects_an_out_of_range_seed(self, capsys, sim_manifest, tmp_path):
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "fit", "--algo", "kmeans", "--data", sim_manifest,
+            "--k", "3", "--seed", "4294967297", "--out", str(out),
+        )
+        assert code == 1
+        assert "seed must be in [0, 2**32), got 4294967297" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "stream"])
+    def test_seed_is_checked_before_the_data_is_read(self, capsys, tmp_path, command):
+        code, _, err = run_cli(
+            capsys, command, "--algo", "orkmc", "--data", str(tmp_path / "none.json"),
+            "--k", "2", "--seed", "4294967297", "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert "seed must be in [0, 2**32), got 4294967297" in err
+
     def test_unknown_preset_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--preset", "nope", "--out-dir", str(tmp_path / "d")

@@ -23,6 +23,20 @@ def test_rng_for_rejects_seeds_outside_32_bits(seed):
         rng_for(seed, "tag")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 1])
+def test_hyperparams_reject_seeds_with_rng_fors_message(seed):
+    with pytest.raises(ConfigError) as from_rng:
+        rng_for(seed, "tag")
+    with pytest.raises(ConfigError) as from_hyper:
+        HyperParams(k=2, seed=seed)
+    assert str(from_hyper.value) == str(from_rng.value) == f"seed must be in [0, 2**32), got {seed}"
+
+
+def test_hyperparams_accept_both_ends_of_the_range():
+    for seed in (0, 2**32 - 1):
+        assert HyperParams(k=2, seed=seed).seed == seed
+
+
 def test_rng_for_accepts_both_ends_of_the_range():
     for seed in (0, 2**32 - 1):
         assert 0.0 <= rng_for(seed, "tag").random() < 1.0
