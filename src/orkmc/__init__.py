@@ -24,7 +24,6 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
-    ViewWeights,
     objective_online,
     objective_rkmc,
     validate,
@@ -47,7 +46,6 @@ __all__ = [
     "RowQP",
     "ScenarioPreset",
     "SimSpec",
-    "ViewWeights",
     "add_shuffled_noise_view",
     "generate",
     "index",

@@ -29,7 +29,6 @@ from .model import (
     CenterSet,
     ClusterResult,
     MultiViewDataset,
-    ViewWeights,
     view_residuals,
 )
 
@@ -50,17 +49,18 @@ def _split_centers(centers: np.ndarray, data: MultiViewDataset) -> CenterSet:
     return CenterSet(tuple(np.ascontiguousarray(p) for p in parts))
 
 
-def _result(data, labels, u, centers, trace, elapsed, algorithm, extra=None) -> ClusterResult:
+def _result(data, u, centers, trace, elapsed, algorithm, extra=None) -> ClusterResult:
+    assignment = AssignmentMatrix(u)
     score = None
     if data.labels is not None:
-        score = metrics.nmi(labels, data.labels)
+        score = metrics.nmi(assignment.hard_labels, data.labels)
     meta = {"algorithm": algorithm}
     if extra:
         meta.update(extra)
     return ClusterResult(
-        assignment=AssignmentMatrix(u, labels),
+        assignment=assignment,
         centers=centers,
-        weights=ViewWeights.uniform(data.n_views),
+        weights=np.full(data.n_views, 1.0 / data.n_views),
         objective_trace=tuple(trace),
         elapsed_seconds=elapsed,
         nmi=score,
@@ -109,7 +109,7 @@ def kmeans_fit(
             break
     elapsed = time.perf_counter() - t0
     return _result(
-        data, labels, one_hot(labels, k), _split_centers(centers, data),
+        data, one_hot(labels, k), _split_centers(centers, data),
         trace, elapsed, "kmeans",
     )
 
@@ -195,7 +195,7 @@ def pkmeans_fit(
     elapsed = time.perf_counter() - t0
     labels = nearest_center_labels(x, centers)
     return _result(
-        data, labels, one_hot(labels, k), _split_centers(centers, data),
+        data, one_hot(labels, k), _split_centers(centers, data),
         trace, elapsed, "pkmeans", {"final_s": s},
     )
 
@@ -243,7 +243,7 @@ def ogd_fit(
         counts[k_star] += 1.0
     elapsed = time.perf_counter() - t0
     return _result(
-        data, labels, one_hot(labels, k), _split_centers(centers, data),
+        data, one_hot(labels, k), _split_centers(centers, data),
         trace, elapsed, "ogd",
     )
 
@@ -344,10 +344,8 @@ def omu_fit(
         rows.append(u[None, :])
     elapsed = time.perf_counter() - t0
 
-    u_all = np.vstack(rows)
-    labels = np.argmax(u_all, axis=1)
     centers = CenterSet(tuple(center_mats), nonneg_enforced=True)
     return _result(
-        data, labels, u_all, centers, trace, elapsed, "omu",
+        data, np.vstack(rows), centers, trace, elapsed, "omu",
         {"min_shift": shifts, "chushi": int(chushi)},
     )

@@ -105,7 +105,7 @@ def _scores(result: ClusterResult, data: MultiViewDataset):
     pred = result.assignment.hard_labels
     pair = metrics.pair_scores(pred, data.labels)
     return {
-        "nmi": metrics.nmi(pred, data.labels),
+        "nmi": result.nmi,
         "purity": metrics.purity(pred, data.labels),
         "fscore": pair["fscore"],
     }

@@ -273,7 +273,7 @@ def save_result(result: ClusterResult, path) -> None:
     """
     head = json.dumps({"result": (np.asarray(result.assignment.hard_labels) + 1).tolist()})
     tail = json.dumps({
-        "weight": result.weights.alpha.tolist(),
+        "weight": result.weights.tolist(),
         "center": [m.tolist() for m in result.centers.centers],
         "nmi": None if result.nmi is None else float(result.nmi),
         "objective_trace": [float(v) for v in result.objective_trace],

@@ -20,6 +20,8 @@ has exactly one implementation here:
 * :func:`solve_row_qp` -- minimizer of one row QP over the simplex.
 * :func:`solve_ridge_normal` -- Cholesky solve of symmetric PSD normal
   equations, with a flagged ridge fallback when they are singular.
+* ``_ridge_solve`` -- the one ridge rule of both fallbacks: ``RIDGE_DELTA`` on
+  the diagonal, then one refinement step against the unregularized system.
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
   for one or many right-hand sides, in Gram form through ``_active_set``.
 * :func:`sq_dists` -- squared Euclidean distances from rows to centers.
@@ -157,9 +159,22 @@ def _pgd_rows(u0: np.ndarray, h: np.ndarray, c: np.ndarray, step: float, sweeps:
     return u, False, sweeps
 
 
+def _ridge_solve(a: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
+    """Solve ``a x = rhs`` (or a stack of such systems) with ``RIDGE_DELTA``
+    added to the first ``k`` diagonal entries, then take one refinement step
+    against the unregularized ``a``, which removes the ridge's first-order
+    bias from the solution."""
+    ridged = a.copy()
+    diag = np.arange(k)
+    ridged[..., diag, diag] += RIDGE_DELTA
+    x = np.linalg.solve(ridged, rhs)
+    x += np.linalg.solve(ridged, rhs - a @ x)
+    return x
+
+
 def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     """Solve a stack of KKT systems; singular ones take the ridge fallback
-    (``RIDGE_DELTA`` on the diagonal of the ``A`` block) with a warning."""
+    (:func:`_ridge_solve` on the ``A`` block) with a warning."""
     try:
         z = np.linalg.solve(kkt, rhs[..., None])[..., 0]
         bad = ~np.isfinite(z).all(axis=1)
@@ -172,15 +187,7 @@ def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
             RidgeFallbackWarning,
             stacklevel=3,
         )
-        ridged = kkt[bad]
-        diag = np.arange(k)
-        ridged[:, diag, diag] += RIDGE_DELTA
-        rb = rhs[bad][..., None]
-        zb = np.linalg.solve(ridged, rb)
-        # One refinement step against the unregularized system takes the
-        # ridge's bias out of the multipliers.
-        zb += np.linalg.solve(ridged, rb - kkt[bad] @ zb)
-        z[bad] = zb[..., 0]
+        z[bad] = _ridge_solve(kkt[bad], rhs[bad][..., None], k)[..., 0]
     return z
 
 
@@ -292,7 +299,8 @@ def solve_row_qp(qp: RowQP, u0, tol: float = KKT_TOL) -> np.ndarray:
 
 
 def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> np.ndarray:
-    """Solve ``G x = rhs`` for symmetric PSD ``G``; ridge-fallback when singular."""
+    """Solve ``G x = rhs`` for symmetric PSD ``G`` by Cholesky; when ``G`` is
+    singular, take the ridge fallback (:func:`_ridge_solve`) with a warning."""
     try:
         cf = np.linalg.cholesky(g)
         y = np.linalg.solve(cf, rhs)
@@ -303,7 +311,7 @@ def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> 
             RidgeFallbackWarning,
             stacklevel=2,
         )
-        return np.linalg.solve(g + RIDGE_DELTA * np.eye(g.shape[0]), rhs)
+        return _ridge_solve(g, rhs, g.shape[0])
 
 
 def nnls(a, b, tol: float = KKT_TOL, start=None) -> np.ndarray:

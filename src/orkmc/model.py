@@ -5,10 +5,11 @@ The solvers all speak in terms of these types:
 * :class:`MultiViewDataset` -- V aligned per-view sample matrices (one row per
   sample in every view) plus optional ground-truth labels.
 * :class:`AssignmentMatrix` -- the N x K row-stochastic soft-assignment matrix
-  with derived hard labels (row argmax, lowest index on ties).
+  with its hard labels, always the row argmax (lowest index on ties).
 * :class:`CenterSet` -- per-view K x J_v center matrices.
-* :class:`ViewWeights` -- simplex-constrained view weights with balance exponent.
-* :class:`ClusterResult` -- everything a fit returns.
+* :class:`ClusterResult` -- everything a fit returns; its view weights are the
+  plain simplex vector alpha, and the balance exponent r lives only in
+  :class:`HyperParams`.
 
 ``MultiViewDataset`` validates eagerly (bad data should fail at the door);
 the result-side types are cheap containers whose numeric invariants are checked
@@ -107,21 +108,19 @@ def hard_labels_of(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """N x K nonnegative soft assignments; rows sum to one."""
+    """N x K nonnegative soft assignments; rows sum to one.
+
+    ``hard_labels`` is the row argmax of ``entries`` taken at construction;
+    :func:`validate` reports rows where ``entries`` was changed since.
+    """
 
     entries: np.ndarray
-    hard_labels: Optional[np.ndarray] = None
+    hard_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
         u = _as_matrix(self.entries, "assignment matrix")
         object.__setattr__(self, "entries", u)
-        if self.hard_labels is None:
-            object.__setattr__(self, "hard_labels", hard_labels_of(u))
-        else:
-            h = np.asarray(self.hard_labels, dtype=np.intp)
-            if h.shape != (u.shape[0],):
-                raise DimensionError("hard_labels length must equal the row count")
-            object.__setattr__(self, "hard_labels", h)
+        object.__setattr__(self, "hard_labels", hard_labels_of(u))
 
     @property
     def n(self) -> int:
@@ -157,33 +156,14 @@ class CenterSet:
 
 
 @dataclass(frozen=True)
-class ViewWeights:
-    """Simplex vector alpha of per-view weights with balance exponent r."""
-
-    alpha: np.ndarray
-    r: float = 0.5
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64).ravel()
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def n_views(self) -> int:
-        return self.alpha.shape[0]
-
-    @classmethod
-    def uniform(cls, n_views: int, r: float = 0.5) -> "ViewWeights":
-        return cls(np.full(n_views, 1.0 / n_views), r)
-
-
-@dataclass(frozen=True)
 class HyperParams:
     """Solver hyperparameters, named after the original interface.
 
     ``gamma=None`` selects an automatic per-row step length (the inverse of
     the largest eigenvalue of the row Hessian); an explicit positive value is
     used verbatim.  ``chushi`` is the initial batch size and only meaningful
-    for the online solvers.
+    for the online solvers.  ``r`` is the view-weight balance exponent: the
+    online objective weights view v by ``alpha_v ** r``.
     """
 
     k: int
@@ -235,11 +215,15 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Everything a fit returns; see :func:`validate` for the invariants."""
+    """Everything a fit returns; see :func:`validate` for the invariants.
+
+    ``weights`` is the float64 view-weight vector alpha of shape (V,): uniform
+    1/V for every solver but ORKMC, which refreshes it from the residuals.
+    """
 
     assignment: AssignmentMatrix
     centers: CenterSet
-    weights: ViewWeights
+    weights: np.ndarray
     objective_trace: tuple = ()
     elapsed_seconds: float = 0.0
     nmi: Optional[float] = None
@@ -295,19 +279,21 @@ def objective_online(
     data_prefix: MultiViewDataset,
     u: AssignmentMatrix,
     m: CenterSet,
-    w: ViewWeights,
+    alpha,
+    r: float,
     eta: float,
 ) -> float:
-    """View-weighted reconstruction error over the processed prefix plus the
-    same quadratic regularizer; reduces to :func:`objective_rkmc` when V = 1
-    and alpha = [1]."""
+    """Reconstruction error over the processed prefix, view v weighted by
+    ``alpha_v ** r``, plus the same quadratic regularizer; reduces to
+    :func:`objective_rkmc` when V = 1 and alpha = [1]."""
     uu, cents = _conforming(data_prefix, u, m)
-    if w.n_views != data_prefix.n_views:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (data_prefix.n_views,):
         raise DimensionError(
-            f"{w.n_views} weights for {data_prefix.n_views} views"
+            f"weights of shape {alpha.shape} for {data_prefix.n_views} views"
         )
     resid = view_residuals(data_prefix.views, uu, cents)
-    total = float(sum(float(a) ** float(w.r) * d for a, d in zip(w.alpha, resid)))
+    total = float(sum(float(a) ** float(r) * d for a, d in zip(alpha, resid)))
     total += float(eta) * float(np.dot(uu.ravel(), uu.ravel()))
     return total
 
@@ -336,12 +322,13 @@ def _check_centers(c: CenterSet, out: list) -> None:
                 out.append(("center-nonneg", (int(v), int(idx[0]), int(idx[1]))))
 
 
-def _check_weights(w: ViewWeights, out: list) -> None:
-    for v in np.flatnonzero(w.alpha < ROW_NONNEG_TOL):
+def _check_weights(alpha, out: list) -> None:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    for v in np.flatnonzero(alpha < ROW_NONNEG_TOL):
         out.append(("weight-nonneg", int(v)))
-    if abs(float(w.alpha.sum()) - 1.0) > ROW_SUM_TOL:
+    if abs(float(alpha.sum()) - 1.0) > ROW_SUM_TOL:
         out.append(("weight-sum", None))
-    if w.n_views == 1 and abs(float(w.alpha[0]) - 1.0) > ROW_SUM_TOL:
+    if alpha.size == 1 and abs(float(alpha[0]) - 1.0) > ROW_SUM_TOL:
         out.append(("weight-single-view", None))
 
 
@@ -373,7 +360,7 @@ def validate(obj) -> list:
     _check_weights(obj.weights, out)
     if obj.assignment.k != obj.centers.k:
         out.append(("shape", None))
-    if obj.weights.n_views != obj.centers.n_views:
+    if np.shape(obj.weights) != (obj.centers.n_views,):
         out.append(("weight-length", None))
     if obj.elapsed_seconds < 0:
         out.append(("elapsed", None))

@@ -47,7 +47,6 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
-    ViewWeights,
     objective_rkmc,
 )
 
@@ -56,6 +55,8 @@ RESEED_AFTER = 3
 # Projected-gradient sweeps that pick each assignment row's starting face
 # before the exact active-set solve (More & Toraldo 1991).
 FACE_SWEEPS = 2
+# Seeded initializations per fit; the lowest final objective is kept.
+N_RESTARTS = 2
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class RkmcConfig:
     ``hyper`` supplies k, eta, epsilon, max_iter and seed (gamma, chushi and
     the balance parameter r play no role offline; r is recorded only under
     ``metadata["hyper"]``).  Centers are kept nonnegative exactly when the
-    data is.  Each restart seeds its centers at K data rows chosen by
-    kmeans++ (:func:`~orkmc._util.select_initial_rows`), unless
+    data is.  Each of the ``N_RESTARTS`` restarts seeds its centers at K data
+    rows chosen by kmeans++ (:func:`~orkmc._util.select_initial_rows`), unless
     ``initial_centers`` is given, which makes a single run from those centers.
     ``assignment="soft"`` solves each row QP over the simplex; ``"hard"``
     restricts rows to the simplex vertices (classic nearest-center updates).
@@ -76,15 +77,12 @@ class RkmcConfig:
 
     hyper: HyperParams
     assignment: str = "soft"
-    n_restarts: int = 2
     initial_centers: Optional[CenterSet] = None
     track_labels: bool = False
 
     def __post_init__(self):
         if self.assignment not in ("soft", "hard"):
             raise ConfigError(f"assignment must be 'soft' or 'hard', got {self.assignment!r}")
-        if self.n_restarts < 1:
-            raise ConfigError("n_restarts must be >= 1")
 
 
 def update_U(
@@ -108,7 +106,7 @@ def update_U(
     if mode == "hard":
         d = sum(sq_dists(x, mv) for x, mv in zip(data.views, m.centers))
         labels = np.argmin(d, axis=1)
-        return AssignmentMatrix(one_hot(labels, k), labels)
+        return AssignmentMatrix(one_hot(labels, k))
 
     h, c = assignment_qp(data.views, m.centers, np.ones(data.n_views), eta)
     start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev.entries
@@ -218,7 +216,7 @@ def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool) -
 def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
     """Fit the regularized K-means model; see :class:`RkmcConfig`.
 
-    Runs ``n_restarts`` seeded initializations (a single run when explicit
+    Runs ``N_RESTARTS`` seeded initializations (a single run when explicit
     ``initial_centers`` are given) and keeps the one with the lowest final
     objective.  The returned trace is the kept run's per-iteration objective.
     """
@@ -241,7 +239,7 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
         restart_used = 0
     else:
         best, restart_used = None, -1
-        for r in range(cfg.n_restarts):
+        for r in range(N_RESTARTS):
             fit = _fit_once(data, cfg, f"rkmc-init-{r}", nonneg)
             if best is None or fit["trace"][-1] < best["trace"][-1]:
                 best, restart_used = fit, r
@@ -251,7 +249,7 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
         "algorithm": "rkmc",
         "hyper": hyper.as_dict(),
         "assignment": cfg.assignment,
-        "n_restarts": cfg.n_restarts,
+        "n_restarts": N_RESTARTS,
         "restart_used": restart_used,
         "enforce_center_nonneg": nonneg,
         "reseed_steps": list(best["reseed_steps"]),
@@ -265,7 +263,7 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
     return ClusterResult(
         assignment=best["u"],
         centers=best["m"],
-        weights=ViewWeights.uniform(data.n_views, r=hyper.r),
+        weights=np.full(data.n_views, 1.0 / data.n_views),
         objective_trace=tuple(best["trace"]),
         elapsed_seconds=elapsed,
         nmi=score,

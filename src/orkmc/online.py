@@ -3,13 +3,13 @@
 The solver warm-starts on an initial batch of ``chushi`` samples, then
 consumes arrivals one at a time: the new sample's assignment row is obtained
 by a few projected-gradient steps on its simplex-constrained QP, the winning
-cluster's centers move by a counts-weighted running mean, and the view weights
-are refreshed from the cumulative per-view residuals.  The first arrival whose
-center move is at most ``epsilon`` freezes the centers and weights; later
-arrivals are only assigned and counted.  Each arrival rebuilds the row Hessian
-from the current centers and weights in O(K^2 * sum(J_v)), then its n_grad
-steps cost O(n_grad * K^2); the state holds only sufficient statistics plus
-the rows emitted so far.
+cluster's centers move by a counts-weighted running mean, and the view-weight
+vector alpha is refreshed from the cumulative per-view residuals.  The first
+arrival whose center move is at most ``epsilon`` freezes the centers and
+weights; later arrivals are only assigned and counted.  Each arrival
+rebuilds the row Hessian from the current centers and weights in
+O(K^2 * sum(J_v)), then its n_grad steps cost O(n_grad * K^2); the state
+holds only sufficient statistics plus the rows emitted so far.
 
 An :class:`OnlineState` is single-writer: steps mutate it sequentially in
 arrival order.  Distinct states may run in parallel.
@@ -33,7 +33,6 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
-    ViewWeights,
     view_residuals,
 )
 
@@ -66,6 +65,8 @@ def weights_from_residuals(d: np.ndarray, r: float) -> np.ndarray:
 class OnlineState:
     """Streaming solver state; ``t`` samples processed so far.
 
+    ``weights`` is the view-weight vector alpha of shape (V,); each view's
+    residual enters the objective weighted by ``alpha_v ** hyper.r``.
     ``n_grad`` is the number of projected-gradient sweeps each arrival's row
     gets.  ``frozen_at`` is the ``t`` after the arrival that froze the centers
     and weights, or ``None`` while they still move.
@@ -75,7 +76,7 @@ class OnlineState:
     t: int
     U_rows: list
     centers: CenterSet
-    weights: ViewWeights
+    weights: np.ndarray
     counts: np.ndarray
     resid_sums: np.ndarray
     u_sq_sum: float
@@ -88,14 +89,14 @@ class OnlineState:
         Tracked incrementally so reporting stays O(V) per arrival regardless
         of how many samples have streamed past.
         """
-        a = self.weights.alpha ** self.weights.r
+        a = self.weights ** self.hyper.r
         return float(a @ self.resid_sums + self.hyper.eta * self.u_sq_sum)
 
 
 def _row_qp(state: OnlineState, xs) -> tuple:
     """``(H, c, step)`` of the assignment QP of the samples ``xs`` (one array
     per view) under the state's centers and view weights."""
-    a = state.weights.alpha ** state.weights.r
+    a = state.weights ** state.hyper.r
     h, c = assignment_qp(xs, state.centers.centers, a, state.hyper.eta)
     step = state.hyper.gamma if state.hyper.gamma is not None else pg_step(h)
     return h, c, step
@@ -126,13 +127,12 @@ def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState
     centers = CenterSet(
         tuple(x[idx].copy() for x in data_prefix.views), nonneg_enforced=nonneg
     )
-    weights = ViewWeights.uniform(data_prefix.n_views, r=hyper.r)
     state = OnlineState(
         hyper=hyper,
         t=0,
         U_rows=[],
         centers=centers,
-        weights=weights,
+        weights=np.full(data_prefix.n_views, 1.0 / data_prefix.n_views),
         counts=np.zeros(k, dtype=np.int64),
         resid_sums=np.zeros(data_prefix.n_views),
         u_sq_sum=0.0,
@@ -208,9 +208,7 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
             if state.centers.nonneg_enforced:
                 np.maximum(mv[k_star], 0.0, out=mv[k_star])
             drift = max(drift, float(np.linalg.norm(mv[k_star] - old)))
-        state.weights = ViewWeights(
-            weights_from_residuals(state.resid_sums, hyper.r), hyper.r
-        )
+        state.weights = weights_from_residuals(state.resid_sums, hyper.r)
         if drift <= hyper.epsilon:
             state.frozen_at = state.t
     return state
@@ -238,12 +236,12 @@ def orkmc_run(
     state = orkmc_init(data.take_rows(np.arange(hyper.chushi)), hyper)
     trace = [state.surrogate_objective()]
     if progress is not None:
-        progress(state.t, trace[-1], state.weights.alpha.copy())
+        progress(state.t, trace[-1], state.weights.copy())
     for row in range(hyper.chushi, n):
         orkmc_step(state, [x[row] for x in data.views])
         trace.append(state.surrogate_objective())
         if progress is not None:
-            progress(state.t, trace[-1], state.weights.alpha.copy())
+            progress(state.t, trace[-1], state.weights.copy())
     elapsed = time.perf_counter() - t_start
 
     u = np.array(state.U_rows) if state.U_rows else np.zeros((0, hyper.k))

@@ -201,7 +201,7 @@ def test_c06_multi_view_weight_sanity():
             data = add_shuffled_noise_view(base, seed=seed)
             hyper = HyperParams(k=3, eta=20.0, r=2.0, chushi=130, seed=seed)
             res = orkmc_run(data, hyper)
-            wins += res.weights.alpha[0] > res.weights.alpha[1]
+            wins += res.weights[0] > res.weights[1]
         assert wins >= 18, f"informative view won only {wins}/20 seeds"
         crit.detail = f"informative-view weight larger in {wins}/20 seeds"
 

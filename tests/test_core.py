@@ -11,7 +11,6 @@ from orkmc.model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
-    ViewWeights,
     objective_online,
     objective_rkmc,
     validate,
@@ -22,7 +21,7 @@ def make_result(u, centers, alpha=None, **kwargs):
     a = AssignmentMatrix(np.asarray(u, dtype=float))
     c = CenterSet(tuple(np.asarray(m, dtype=float) for m in centers),
                   nonneg_enforced=kwargs.pop("nonneg", False))
-    w = ViewWeights(np.full(len(centers), 1.0 / len(centers)) if alpha is None else np.asarray(alpha))
+    w = np.full(len(centers), 1.0 / len(centers)) if alpha is None else np.asarray(alpha)
     return ClusterResult(assignment=a, centers=c, weights=w, **kwargs)
 
 
@@ -135,8 +134,8 @@ class TestObjectiveOnline:
             data = MultiViewDataset(views=(x,))
             a = AssignmentMatrix(u)
             c = CenterSet((m,))
-            w = ViewWeights(np.array([1.0]), r=float(rng.uniform(0.2, 3)))
-            assert objective_online(data, a, c, w, eta) == pytest.approx(
+            r = float(rng.uniform(0.2, 3))
+            assert objective_online(data, a, c, np.array([1.0]), r, eta) == pytest.approx(
                 objective_rkmc(data, a, c, eta), abs=1e-12, rel=1e-12
             )
 
@@ -146,9 +145,10 @@ class TestObjectiveOnline:
         u = rng.dirichlet(np.ones(2), size=4)
         m = rng.normal(size=(2, 2))
         data = MultiViewDataset(views=(x, x.copy()))
-        w = ViewWeights(np.array([0.5, 0.5]), r=2.0)
         resid = float(np.sum((x - u @ m) ** 2))
-        got = objective_online(data, AssignmentMatrix(u), CenterSet((m, m.copy())), w, 0.0)
+        got = objective_online(
+            data, AssignmentMatrix(u), CenterSet((m, m.copy())), np.array([0.5, 0.5]), 2.0, 0.0
+        )
         assert got == pytest.approx(2 * 0.25 * resid, rel=1e-12)
 
     def test_matches_bruteforce(self):
@@ -161,7 +161,7 @@ class TestObjectiveOnline:
         alpha = np.array([0.3, 0.7])
         data = MultiViewDataset(views=(x1, x2))
         got = objective_online(
-            data, AssignmentMatrix(u), CenterSet((m1, m2)), ViewWeights(alpha, r=1.7), 0.9
+            data, AssignmentMatrix(u), CenterSet((m1, m2)), alpha, 1.7, 0.9
         )
         want = oracles.objective_online_bruteforce(
             (x1, x2), u.tolist(), (m1.tolist(), m2.tolist()), alpha, 1.7, 0.9
@@ -185,11 +185,12 @@ class TestValidate:
         assert ("center-nonneg", (0, 0, 1)) in validate(res)
 
     def test_hard_label_mismatch(self):
-        a = AssignmentMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]), hard_labels=np.array([1, 1]))
+        a = AssignmentMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
+        a.entries[0] = [0.1, 0.9]
         res = ClusterResult(
             assignment=a,
             centers=CenterSet((np.eye(2),)),
-            weights=ViewWeights(np.array([1.0])),
+            weights=np.array([1.0]),
         )
         assert ("hard-labels", 0) in validate(res)
 

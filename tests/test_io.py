@@ -21,7 +21,6 @@ from orkmc.model import (
     AssignmentMatrix,
     CenterSet,
     ClusterResult,
-    ViewWeights,
 )
 
 
@@ -30,7 +29,7 @@ def small_result():
     return ClusterResult(
         assignment=AssignmentMatrix(u),
         centers=CenterSet((np.array([[1.5, -2.25], [0.125, 3.5]]),)),
-        weights=ViewWeights(np.array([1.0])),
+        weights=np.array([1.0]),
         objective_trace=(3.125, 1.0625),
         elapsed_seconds=0.25,
         nmi=0.75,
@@ -209,7 +208,7 @@ class TestResultJson:
         res = ClusterResult(
             assignment=AssignmentMatrix(u),
             centers=CenterSet((rng.normal(size=(3, 2)),)),
-            weights=ViewWeights(np.array([1.0])),
+            weights=np.array([1.0]),
         )
         path = tmp_path / "r.json"
         save_result(res, path)

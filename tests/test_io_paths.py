@@ -183,7 +183,7 @@ def reference_doc(result):
     return {
         "result": (np.asarray(result.assignment.hard_labels) + 1).tolist(),
         "U": result.assignment.entries.tolist(),
-        "weight": result.weights.alpha.tolist(),
+        "weight": result.weights.tolist(),
         "center": [m.tolist() for m in result.centers.centers],
         "nmi": None if result.nmi is None else float(result.nmi),
         "objective_trace": [float(v) for v in result.objective_trace],

@@ -30,7 +30,7 @@ class TestInit:
         x, _ = separated_rows(rng, 20, 3)
         data = MultiViewDataset(views=(x, x + 1.0))
         state = orkmc_init(data, HyperParams(k=3, chushi=20, seed=0))
-        np.testing.assert_allclose(state.weights.alpha, [0.5, 0.5])
+        np.testing.assert_allclose(state.weights, [0.5, 0.5])
 
     def test_chushi_equals_k_seeds_prefix_rows(self):
         x = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
@@ -85,7 +85,7 @@ class TestStep:
         for _ in range(5):
             row = rng.normal(size=2) + [4.0, 0.0]
             orkmc_step(state, [row, row.copy()])
-        np.testing.assert_allclose(state.weights.alpha, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(state.weights, [0.5, 0.5], atol=1e-12)
 
     def test_running_mean_recurrence(self):
         # K=1, arrivals 1, 2, 3 with center initialized at 1: final center is
@@ -235,7 +235,7 @@ class TestRun:
         b = orkmc_run(data, hyper)
         assert np.array_equal(a.assignment.entries, b.assignment.entries)
         assert a.objective_trace == b.objective_trace
-        assert np.array_equal(a.weights.alpha, b.weights.alpha)
+        assert np.array_equal(a.weights, b.weights)
 
     def test_streaming_counters_independent_of_history(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -282,11 +282,11 @@ class TestRun:
                 first_small = state.t
                 frozen = (
                     [mv.tobytes() for mv in state.centers.centers],
-                    state.weights.alpha.tobytes(),
+                    state.weights.tobytes(),
                 )
             elif frozen is not None:
                 assert [mv.tobytes() for mv in state.centers.centers] == frozen[0]
-                assert state.weights.alpha.tobytes() == frozen[1]
+                assert state.weights.tobytes() == frozen[1]
             expected = counts.copy()
             expected[k_star] += 1
             np.testing.assert_array_equal(state.counts, expected)
@@ -307,7 +307,7 @@ class TestRun:
             + sum(row.size for row in state.U_rows)
             + state.counts.size
             + state.resid_sums.size
-            + state.weights.alpha.size
+            + state.weights.size
         )
         assert stored == k * j * v + t * k + k + v + v
 
