@@ -8,8 +8,8 @@
 * :func:`omu_fit` -- online multiplicative-update NMF clustering with
   streaming sufficient statistics.
 
-Each returns a :class:`~orkmc.model.ClusterResult` that passes
-:func:`~orkmc.model.validate`.
+Each returns a :class:`~orkmc.model.ClusterResult`, built by
+:func:`~orkmc.model.fit_result`, that passes :func:`~orkmc.model.validate`.
 """
 
 from __future__ import annotations
@@ -20,17 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics
 from ._util import rng_for, select_initial_rows
 from .errors import ConfigError, DataWarning
 from .kernels import assignment_qp, cluster_means, one_hot, sq_dists
-from .model import (
-    AssignmentMatrix,
-    CenterSet,
-    ClusterResult,
-    MultiViewDataset,
-    view_residuals,
-)
+from .model import CenterSet, ClusterResult, MultiViewDataset, fit_result, view_residuals
 
 MU_DELTA = 1e-12
 ZERO_DIST = 1e-30
@@ -47,25 +40,6 @@ def nearest_center_labels(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _split_centers(centers: np.ndarray, data: MultiViewDataset) -> CenterSet:
     parts = np.split(centers, np.cumsum(data.feature_counts)[:-1], axis=1)
     return CenterSet(tuple(np.ascontiguousarray(p) for p in parts))
-
-
-def _result(data, u, centers, trace, elapsed, algorithm, extra=None) -> ClusterResult:
-    assignment = AssignmentMatrix(u)
-    score = None
-    if data.labels is not None:
-        score = metrics.nmi(assignment.hard_labels, data.labels)
-    meta = {"algorithm": algorithm}
-    if extra:
-        meta.update(extra)
-    return ClusterResult(
-        assignment=assignment,
-        centers=centers,
-        weights=np.full(data.n_views, 1.0 / data.n_views),
-        objective_trace=tuple(trace),
-        elapsed_seconds=elapsed,
-        nmi=score,
-        metadata=meta,
-    )
 
 
 def kmeans_fit(
@@ -108,9 +82,9 @@ def kmeans_fit(
         if fixpoint or delta <= epsilon:
             break
     elapsed = time.perf_counter() - t0
-    return _result(
+    return fit_result(
         data, one_hot(labels, k), _split_centers(centers, data),
-        trace, elapsed, "kmeans",
+        trace, elapsed, {"algorithm": "kmeans"},
     )
 
 
@@ -194,9 +168,9 @@ def pkmeans_fit(
         s = max(POWER_S_MIN, s * POWER_STEP)
     elapsed = time.perf_counter() - t0
     labels = nearest_center_labels(x, centers)
-    return _result(
+    return fit_result(
         data, one_hot(labels, k), _split_centers(centers, data),
-        trace, elapsed, "pkmeans", {"final_s": s},
+        trace, elapsed, {"algorithm": "pkmeans", "final_s": s},
     )
 
 
@@ -242,9 +216,9 @@ def ogd_fit(
         centers[k_star] += 1.0 / (counts[k_star] + 1.0) * (x[i] - centers[k_star])
         counts[k_star] += 1.0
     elapsed = time.perf_counter() - t0
-    return _result(
+    return fit_result(
         data, one_hot(labels, k), _split_centers(centers, data),
-        trace, elapsed, "ogd",
+        trace, elapsed, {"algorithm": "ogd"},
     )
 
 
@@ -345,7 +319,7 @@ def omu_fit(
     elapsed = time.perf_counter() - t0
 
     centers = CenterSet(tuple(center_mats), nonneg_enforced=True)
-    return _result(
-        data, np.vstack(rows), centers, trace, elapsed, "omu",
-        {"min_shift": shifts, "chushi": int(chushi)},
+    return fit_result(
+        data, np.vstack(rows), centers, trace, elapsed,
+        {"algorithm": "omu", "min_shift": shifts, "chushi": int(chushi)},
     )

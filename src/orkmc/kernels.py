@@ -28,7 +28,8 @@ has exactly one implementation here:
 * :func:`cluster_means` -- per-cluster means of the rows with each hard label.
 * :func:`one_hot` -- the one-hot assignment matrix of hard labels.
 * :func:`data_nonneg` -- the rule that centers are kept nonnegative exactly
-  when the data is.
+  when the data is; ``offline.update_M`` and ``online.orkmc_init`` apply it
+  where they build centers, and record it in ``CenterSet.nonneg_enforced``.
 
 All functions are pure and re-entrant; callers may run rows or columns in
 parallel and results do not depend on the schedule.
@@ -298,7 +299,7 @@ def solve_row_qp(qp: RowQP, u0, tol: float = KKT_TOL) -> np.ndarray:
     return _active_set(qp.h, qp.c[None], _project(start)[None], True, tol)[0]
 
 
-def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> np.ndarray:
+def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``G x = rhs`` for symmetric PSD ``G`` by Cholesky; when ``G`` is
     singular, take the ridge fallback (:func:`_ridge_solve`) with a warning."""
     try:
@@ -307,7 +308,7 @@ def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray, what: str = "system") -> 
         return np.linalg.solve(cf.T, y)
     except np.linalg.LinAlgError:
         warnings.warn(
-            f"singular {what}; applying ridge fallback (delta={RIDGE_DELTA})",
+            f"singular normal equations; applying ridge fallback (delta={RIDGE_DELTA})",
             RidgeFallbackWarning,
             stacklevel=2,
         )

@@ -11,6 +11,9 @@ The solvers all speak in terms of these types:
   plain simplex vector alpha, and the balance exponent r lives only in
   :class:`HyperParams`.
 
+Every solver builds its result with :func:`fit_result`, and
+:func:`objective_rkmc` is :func:`objective_online` with unit view weights.
+
 ``MultiViewDataset`` validates eagerly (bad data should fail at the door);
 the result-side types are cheap containers whose numeric invariants are checked
 by :func:`validate`, which reports violations instead of raising.
@@ -23,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import metrics
 from ._util import check_seed
 from .errors import ConfigError, DimensionError, ValidationError
 
@@ -151,9 +155,6 @@ class CenterSet:
     def n_views(self) -> int:
         return len(self.centers)
 
-    def copy(self) -> "CenterSet":
-        return CenterSet(tuple(m.copy() for m in self.centers), self.nonneg_enforced)
-
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -230,6 +231,30 @@ class ClusterResult:
     metadata: dict = field(default_factory=dict)
 
 
+def fit_result(
+    data: MultiViewDataset, u: np.ndarray, centers: CenterSet, trace, elapsed: float,
+    metadata: dict, weights: Optional[np.ndarray] = None,
+) -> ClusterResult:
+    """The result of every fit of ``data``: ``u`` wrapped as an
+    :class:`AssignmentMatrix`, the NMI of its hard labels when ``data`` has
+    labels, and uniform 1/V view weights unless ``weights`` is given."""
+    assignment = AssignmentMatrix(u)
+    score = None
+    if data.labels is not None:
+        score = metrics.nmi(assignment.hard_labels, data.labels)
+    if weights is None:
+        weights = np.full(data.n_views, 1.0 / data.n_views)
+    return ClusterResult(
+        assignment=assignment,
+        centers=centers,
+        weights=weights,
+        objective_trace=tuple(trace),
+        elapsed_seconds=elapsed,
+        nmi=score,
+        metadata=metadata,
+    )
+
+
 def _conforming(data: MultiViewDataset, u, m) -> tuple:
     """``(U, centers)`` as arrays, checked against ``data``'s shapes and for
     finiteness."""
@@ -268,11 +293,9 @@ def view_residuals(views, u: np.ndarray, centers) -> np.ndarray:
 def objective_rkmc(
     data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet, eta: float
 ) -> float:
-    """Squared reconstruction error summed over views plus ``eta * sum(U**2)``."""
-    uu, cents = _conforming(data, u, m)
-    total = float(sum(view_residuals(data.views, uu, cents)))
-    total += float(eta) * float(np.dot(uu.ravel(), uu.ravel()))
-    return total
+    """Squared reconstruction error summed over views plus ``eta * sum(U**2)``:
+    :func:`objective_online` with every view weight 1, bit for bit."""
+    return objective_online(data, u, m, np.ones(data.n_views), 1.0, eta)
 
 
 def objective_online(
@@ -284,8 +307,8 @@ def objective_online(
     eta: float,
 ) -> float:
     """Reconstruction error over the processed prefix, view v weighted by
-    ``alpha_v ** r``, plus the same quadratic regularizer; reduces to
-    :func:`objective_rkmc` when V = 1 and alpha = [1]."""
+    ``alpha_v ** r``, plus the regularizer ``eta * sum(U**2)``; the views are
+    summed in order."""
     uu, cents = _conforming(data_prefix, u, m)
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (data_prefix.n_views,):
@@ -303,7 +326,7 @@ def _check_assignment(u: AssignmentMatrix, out: list) -> None:
     for i, k in np.argwhere(entries < ROW_NONNEG_TOL):
         out.append(("row-nonneg", (int(i), int(k))))
     sums = entries.sum(axis=1)
-    for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
+    for i in np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL)):
         out.append(("row-sum", int(i)))
     derived = hard_labels_of(entries)
     for i in np.flatnonzero(derived != np.asarray(u.hard_labels)):
@@ -326,9 +349,9 @@ def _check_weights(alpha, out: list) -> None:
     alpha = np.asarray(alpha, dtype=np.float64)
     for v in np.flatnonzero(alpha < ROW_NONNEG_TOL):
         out.append(("weight-nonneg", int(v)))
-    if abs(float(alpha.sum()) - 1.0) > ROW_SUM_TOL:
+    if not abs(float(alpha.sum()) - 1.0) <= ROW_SUM_TOL:
         out.append(("weight-sum", None))
-    if alpha.size == 1 and abs(float(alpha[0]) - 1.0) > ROW_SUM_TOL:
+    if alpha.size == 1 and not abs(float(alpha[0]) - 1.0) <= ROW_SUM_TOL:
         out.append(("weight-single-view", None))
 
 
@@ -337,11 +360,10 @@ def validate(obj) -> list:
     solver state) and return ``(invariant-name, offending-index)`` pairs.
 
     Reports instead of raising; an empty list means the object is well formed.
+    Every tolerance test reads ``not (within tolerance)``, so a NaN fails it.
     """
     out: list = []
     if hasattr(obj, "U_rows"):  # online state (duck-typed to avoid an import cycle)
-        if len(obj.U_rows) != obj.t:
-            out.append(("t-count", None))
         counts = np.asarray(obj.counts)
         if counts.sum() != obj.t:
             out.append(("counts-sum", None))
@@ -351,7 +373,7 @@ def validate(obj) -> list:
         _check_weights(obj.weights, out)
         for i, row in enumerate(obj.U_rows):
             row = np.asarray(row)
-            if np.any(row < ROW_NONNEG_TOL) or abs(float(row.sum()) - 1.0) > ROW_SUM_TOL:
+            if not (np.all(row >= ROW_NONNEG_TOL) and abs(float(row.sum()) - 1.0) <= ROW_SUM_TOL):
                 out.append(("row-sum", int(i)))
         return out
 
@@ -362,7 +384,7 @@ def validate(obj) -> list:
         out.append(("shape", None))
     if np.shape(obj.weights) != (obj.centers.n_views,):
         out.append(("weight-length", None))
-    if obj.elapsed_seconds < 0:
+    if not obj.elapsed_seconds >= 0:
         out.append(("elapsed", None))
     if obj.nmi is not None and not (0.0 <= obj.nmi <= 1.0):
         out.append(("nmi-range", None))
@@ -372,6 +394,6 @@ def validate(obj) -> list:
         for i in range(1, len(trace)):
             if i in skip:
                 continue
-            if trace[i] > trace[i - 1] + 1e-9:
+            if not trace[i] <= trace[i - 1] + 1e-9:
                 out.append(("objective-trace", int(i)))
     return out

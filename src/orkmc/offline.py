@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics
 from ._util import select_initial_rows
 from .errors import ConfigError, DataWarning, DegenerateClusterWarning
 from .kernels import (
@@ -47,6 +46,7 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
+    fit_result,
     objective_rkmc,
 )
 
@@ -117,17 +117,19 @@ def update_U(
 def update_M(
     data: MultiViewDataset,
     u: AssignmentMatrix,
-    enforce_nonneg: bool,
     *,
     prev: Optional[CenterSet] = None,
 ) -> CenterSet:
     """Least-squares center update at fixed assignments.
 
-    Per view, ``M_v = argmin ||X_v - U M_v||_F^2``: with nonnegativity
-    enforced, one :func:`~orkmc.kernels.nnls` call solves every column
-    exactly, warm-started from ``prev``; otherwise the normal equations with
-    a ridge fallback.  Clusters whose soft mass vanished keep their previous
-    centers and a :class:`DegenerateClusterWarning` is emitted.
+    Per view, ``M_v = argmin ||X_v - U M_v||_F^2``.  When every view of
+    ``data`` is nonnegative (:func:`~orkmc.kernels.data_nonneg`, one min-scan
+    of the data per call) the centers are kept nonnegative: one
+    :func:`~orkmc.kernels.nnls` call solves every column exactly,
+    warm-started from ``prev``.  Otherwise the normal equations are solved,
+    with a ridge fallback.  The returned centers record which rule applied in
+    ``nonneg_enforced``.  Clusters whose soft mass vanished keep their
+    previous centers and a :class:`DegenerateClusterWarning` is emitted.
     """
     uu = u.entries
     k = uu.shape[1]
@@ -141,17 +143,18 @@ def update_M(
             stacklevel=2,
         )
     ul = uu[:, live]
-    g = None if enforce_nonneg else ul.T @ ul
+    nonneg = data_nonneg(data.views)
+    g = None if nonneg else ul.T @ ul
     out = []
     for v, x in enumerate(data.views):
         mv = np.zeros((k, x.shape[1])) if prev is None else prev.centers[v].copy()
         if np.any(live):
-            if enforce_nonneg:
+            if nonneg:
                 mv[live] = nnls(ul, x, start=np.maximum(mv[live], 0.0))
             else:
-                mv[live] = solve_ridge_normal(g, ul.T @ x, what="center normal equations")
+                mv[live] = solve_ridge_normal(g, ul.T @ x)
         out.append(mv)
-    return CenterSet(tuple(out), nonneg_enforced=enforce_nonneg)
+    return CenterSet(tuple(out), nonneg_enforced=nonneg)
 
 
 def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet) -> np.ndarray:
@@ -162,12 +165,12 @@ def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet)
     return r
 
 
-def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool) -> dict:
+def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str) -> dict:
     hyper = cfg.hyper
     m = cfg.initial_centers
     if m is None:
         idx = select_initial_rows(data.stacked(), hyper.k, hyper.seed, tag)
-        m = CenterSet(tuple(x[idx].copy() for x in data.views), nonneg_enforced=nonneg)
+        m = CenterSet(tuple(x[idx].copy() for x in data.views))
     u = update_U(data, m, None, hyper.eta, mode=cfg.assignment)
     trace = [objective_rkmc(data, u, m, hyper.eta)]
     labels_hist = [u.hard_labels.copy()] if cfg.track_labels else None
@@ -175,7 +178,7 @@ def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool) -
     reseed_steps: list[int] = []
     converged = False
     for _ in range(hyper.max_iter):
-        m_new = update_M(data, u, nonneg, prev=m)
+        m_new = update_M(data, u, prev=m)
         delta = max(
             float(np.linalg.norm(a - b)) for a, b in zip(m_new.centers, m.centers)
         )
@@ -197,7 +200,7 @@ def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str, nonneg: bool) -
                     centers[v][k_idx] = x[far]
                 resid[far] = -np.inf
                 empty_streak[k_idx] = 0
-            m = CenterSet(tuple(centers), nonneg_enforced=nonneg)
+            m = CenterSet(tuple(centers), nonneg_enforced=m.nonneg_enforced)
             reseed_steps.append(len(trace))
 
         if delta <= hyper.epsilon:
@@ -232,15 +235,14 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
             DataWarning,
             stacklevel=2,
         )
-    nonneg = data_nonneg(data.views)
     t0 = time.perf_counter()
     if cfg.initial_centers is not None:
-        best = _fit_once(data, cfg, "rkmc-init", nonneg)
+        best = _fit_once(data, cfg, "rkmc-init")
         restart_used = 0
     else:
         best, restart_used = None, -1
         for r in range(N_RESTARTS):
-            fit = _fit_once(data, cfg, f"rkmc-init-{r}", nonneg)
+            fit = _fit_once(data, cfg, f"rkmc-init-{r}")
             if best is None or fit["trace"][-1] < best["trace"][-1]:
                 best, restart_used = fit, r
     elapsed = time.perf_counter() - t0
@@ -251,21 +253,10 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
         "assignment": cfg.assignment,
         "n_restarts": N_RESTARTS,
         "restart_used": restart_used,
-        "enforce_center_nonneg": nonneg,
+        "enforce_center_nonneg": best["m"].nonneg_enforced,
         "reseed_steps": list(best["reseed_steps"]),
         "converged": best["converged"],
     }
     if best["labels_hist"] is not None:
         metadata["label_history"] = [h.tolist() for h in best["labels_hist"]]
-    score = None
-    if data.labels is not None:
-        score = metrics.nmi(best["u"].hard_labels, data.labels)
-    return ClusterResult(
-        assignment=best["u"],
-        centers=best["m"],
-        weights=np.full(data.n_views, 1.0 / data.n_views),
-        objective_trace=tuple(best["trace"]),
-        elapsed_seconds=elapsed,
-        nmi=score,
-        metadata=metadata,
-    )
+    return fit_result(data, best["u"].entries, best["m"], best["trace"], elapsed, metadata)

@@ -23,16 +23,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import metrics
 from ._util import select_initial_rows
 from .errors import ConfigError, ValidationError
 from .kernels import _pgd_rows, assignment_qp, cluster_means, data_nonneg, pg_step
 from .model import (
-    AssignmentMatrix,
     CenterSet,
     ClusterResult,
     HyperParams,
     MultiViewDataset,
+    fit_result,
     view_residuals,
 )
 
@@ -63,7 +62,8 @@ def weights_from_residuals(d: np.ndarray, r: float) -> np.ndarray:
 
 @dataclass
 class OnlineState:
-    """Streaming solver state; ``t`` samples processed so far.
+    """Streaming solver state; ``t`` samples processed so far, one row each
+    in ``U_rows`` (``t`` is read-only: it is ``len(U_rows)``).
 
     ``weights`` is the view-weight vector alpha of shape (V,); each view's
     residual enters the objective weighted by ``alpha_v ** hyper.r``.
@@ -73,7 +73,6 @@ class OnlineState:
     """
 
     hyper: HyperParams
-    t: int
     U_rows: list
     centers: CenterSet
     weights: np.ndarray
@@ -82,6 +81,10 @@ class OnlineState:
     u_sq_sum: float
     n_grad: int
     frozen_at: Optional[int] = None
+
+    @property
+    def t(self) -> int:
+        return len(self.U_rows)
 
     def surrogate_objective(self) -> float:
         """Cumulative weighted at-assignment residual plus the regularizer.
@@ -129,7 +132,6 @@ def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState
     )
     state = OnlineState(
         hyper=hyper,
-        t=0,
         U_rows=[],
         centers=centers,
         weights=np.full(data_prefix.n_views, 1.0 / data_prefix.n_views),
@@ -159,7 +161,6 @@ def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState
     state.resid_sums = view_residuals(data_prefix.views, u, centers.centers)
     state.u_sq_sum = float(np.dot(u.ravel(), u.ravel()))
     state.U_rows = [u[i] for i in range(t0)]
-    state.t = t0
     return state
 
 
@@ -175,6 +176,11 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     a drift of at most ``epsilon`` freezes the state (``frozen_at = t``), and
     every later arrival is assigned and counted against fixed centers and
     weights.
+
+    When the warm-start batch was nonnegative the moved row is clamped at
+    zero.  On nonnegative arrivals the clamp never acts (``old, x >= 0`` and
+    ``c >= 1`` give a rounded ``old + (x - old) / c >= 0``); it keeps an
+    arrival with a negative entry from pulling a center below zero.
     """
     xs = [np.asarray(x, dtype=np.float64).ravel() for x in arrival]
     if len(xs) != state.centers.n_views:
@@ -199,7 +205,6 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     state.resid_sums += view_residuals(xs, u, state.centers.centers)
     state.u_sq_sum += float(u @ u)
     state.U_rows.append(u)
-    state.t += 1
     if state.frozen_at is None:
         drift = 0.0
         for x, mv in zip(xs, state.centers.centers):
@@ -244,23 +249,13 @@ def orkmc_run(
             progress(state.t, trace[-1], state.weights.copy())
     elapsed = time.perf_counter() - t_start
 
-    u = np.array(state.U_rows) if state.U_rows else np.zeros((0, hyper.k))
-    assignment = AssignmentMatrix(u)
-    score = None
-    if data.labels is not None:
-        score = metrics.nmi(assignment.hard_labels, data.labels)
-    return ClusterResult(
-        assignment=assignment,
-        centers=state.centers,
-        weights=state.weights,
-        objective_trace=tuple(trace),
-        elapsed_seconds=elapsed,
-        nmi=score,
-        metadata={
-            "algorithm": "orkmc",
-            "hyper": hyper.as_dict(),
-            "n_grad": state.n_grad,
-            "frozen_at": state.frozen_at,
-            "counts": state.counts.tolist(),
-        },
+    metadata = {
+        "algorithm": "orkmc",
+        "hyper": hyper.as_dict(),
+        "n_grad": state.n_grad,
+        "frozen_at": state.frozen_at,
+        "counts": state.counts.tolist(),
+    }
+    return fit_result(
+        data, np.array(state.U_rows), state.centers, trace, elapsed, metadata, state.weights
     )

@@ -87,7 +87,7 @@ def record(result) -> dict:
 def _soft_label_margin(u: np.ndarray) -> float:
     """Smallest gap between a row's two largest entries (rows not one-hot)."""
     soft = u[u.max(axis=1) < 1.0]
-    if soft.shape[0] == 0 or soft.shape[1] < 2:
+    if soft.shape[0] == 0:
         return np.inf
     top2 = np.sort(soft, axis=1)[:, -2:]
     return float((top2[:, 1] - top2[:, 0]).min())

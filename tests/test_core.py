@@ -201,3 +201,24 @@ class TestValidate:
             metadata={"algorithm": "rkmc"},
         )
         assert ("objective-trace", 2) in validate(res)
+
+    # NaN compares False with every tolerance, so each of these once passed.
+    def test_nan_assignment_entry_reported(self):
+        res = make_result([[np.nan, 1.0], [0.0, 1.0]], [np.eye(2)])
+        assert validate(res) == [("row-sum", 0)]
+
+    def test_nan_weights_reported(self):
+        res = make_result([[1.0, 0.0], [0.0, 1.0]], [np.eye(2), np.eye(2)], alpha=[np.nan, np.nan])
+        assert validate(res) == [("weight-sum", None)]
+
+    def test_nan_in_rkmc_objective_trace_reported(self):
+        res = make_result(
+            [[1.0, 0.0], [0.0, 1.0]], [np.eye(2)],
+            objective_trace=(3.0, np.nan, 2.0),
+            metadata={"algorithm": "rkmc"},
+        )
+        assert ("objective-trace", 1) in validate(res)
+
+    def test_nan_elapsed_reported(self):
+        res = make_result([[1.0, 0.0], [0.0, 1.0]], [np.eye(2)], elapsed_seconds=np.nan)
+        assert validate(res) == [("elapsed", None)]

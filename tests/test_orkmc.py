@@ -48,6 +48,13 @@ class TestInit:
         assert int(state.counts.sum()) == 20
         assert validate(state) == []
 
+    def test_nan_row_in_state_reported(self):
+        rng = np.random.default_rng(2)
+        x, _ = separated_rows(rng, 20, 3)
+        state = orkmc_init(MultiViewDataset(views=(x,)), HyperParams(k=3, chushi=20))
+        state.U_rows[4] = np.array([np.nan, 0.5, 0.5])
+        assert validate(state) == [("row-sum", 4)]
+
     def test_chushi_below_k_rejected(self):
         with pytest.raises(ConfigError):
             HyperParams(k=5, chushi=3)
@@ -76,6 +83,16 @@ class TestStep:
         assert u[k_probe] > 0.99
         assert state.counts[k_probe] == before_counts[k_probe] + 1
         np.testing.assert_allclose(state.centers.centers[0], before_center, atol=1e-6)
+
+    def test_negative_arrival_after_nonneg_batch_is_clamped(self):
+        # The nonneg rule is decided on the warm-start batch; a later arrival
+        # with negative entries must not pull a center below zero.
+        x = np.abs(np.random.default_rng(0).normal(size=(10, 2)))
+        state = orkmc_init(MultiViewDataset(views=(x,)), HyperParams(k=2, chushi=10, epsilon=1e-12))
+        assert state.centers.nonneg_enforced
+        orkmc_step(state, [np.array([-50.0, -50.0])])
+        assert np.all(state.centers.centers[0] >= 0.0)
+        assert validate(state) == []
 
     def test_identical_views_keep_uniform_weights(self):
         rng = np.random.default_rng(4)

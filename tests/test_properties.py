@@ -1,4 +1,5 @@
-"""Property tests: the exact half-steps meet their KKT conditions.
+"""Property tests: the exact half-steps meet their KKT conditions, and the
+streaming solver keeps nonnegative centers nonnegative.
 
 The enumeration oracles stop at K = 3 or so; these draw K up to 17, eta = 0
 with duplicate centers, identical Gram columns, 1-D and 2-D right-hand sides
@@ -8,6 +9,8 @@ off by its round budget) fails the test.  The draws are derandomized so that
 the suite gives the same verdict on every run.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +18,9 @@ from hypothesis import strategies as st
 
 import oracles
 from orkmc.kernels import _active_set, assignment_qp, nnls
-from orkmc.model import AssignmentMatrix, CenterSet, MultiViewDataset
+from orkmc.model import AssignmentMatrix, CenterSet, HyperParams, MultiViewDataset, validate
 from orkmc.offline import update_M, update_U
+from orkmc.online import orkmc_init, orkmc_run, orkmc_step
 
 pytestmark = [
     pytest.mark.filterwarnings("error::orkmc.errors.ConvergenceWarning"),
@@ -128,7 +132,52 @@ def soft_assignments(draw):
 def test_nonneg_update_m_columns_meet_kkt(case):
     u, x, prev = case
     data = MultiViewDataset(views=(x,))
-    m = update_M(data, AssignmentMatrix(u), True, prev=CenterSet((prev,)))
+    m = update_M(data, AssignmentMatrix(u), prev=CenterSet((prev,)))
     g, rhs = u.T @ u, u.T @ x
     for col in range(x.shape[1]):
         assert max(oracles.nnls_kkt(g, rhs[:, col], m.centers[0][:, col])) <= KKT
+
+
+@st.composite
+def nonneg_streams(draw):
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(k, k + 6)) + draw(st.integers(1, 30))
+    views = []
+    for _ in range(draw(st.integers(1, 2))):
+        x = rng.uniform(size=(n, draw(st.integers(1, 3)))) * draw(
+            st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8])
+        )
+        x[rng.uniform(size=x.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+        views.append(x)
+    hyper = HyperParams(
+        k=k,
+        eta=draw(st.sampled_from([0.0, 1.0])),
+        epsilon=draw(st.sampled_from([1e-300, 1e-4])),
+        chushi=draw(st.integers(k, n - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return MultiViewDataset(views=tuple(views)), hyper
+
+
+@PROPERTY
+@given(nonneg_streams())
+def test_orkmc_centers_stay_nonneg_without_clamping(case):
+    # On nonnegative streams the running-mean step cannot leave the orthant,
+    # so the step's clamp at zero changes no bit: a copy of the state with the
+    # clamp switched off ends with identical centers.
+    data, hyper = case
+    res = orkmc_run(data, hyper)
+    assert all(np.all(m >= 0.0) for m in res.centers.centers)
+    assert validate(res) == []
+
+    state = orkmc_init(data.take_rows(np.arange(hyper.chushi)), hyper)
+    assert state.centers.nonneg_enforced
+    free = copy.deepcopy(state)
+    free.centers = CenterSet(free.centers.centers, nonneg_enforced=False)
+    for row in range(hyper.chushi, data.n_samples):
+        orkmc_step(state, [x[row] for x in data.views])
+        orkmc_step(free, [x[row] for x in data.views])
+    for a, b in zip(state.centers.centers, free.centers.centers):
+        np.testing.assert_array_equal(a, b)
+    assert validate(state) == []

@@ -188,7 +188,7 @@ class TestUpdateU:
             h, c = assignment_qp(data.views, m.centers, np.ones(2), eta)
             for row, ci in zip(u.entries, c):
                 assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-9
-            new = update_M(data, u, enforce_nonneg=True, prev=m)
+            new = update_M(data, u, prev=m)
             for xv, mv in zip(data.views, new.centers):
                 g, b = u.entries.T @ u.entries, u.entries.T @ xv
                 for col in range(xv.shape[1]):
@@ -236,7 +236,7 @@ class TestSingularKktFallback:
         prev = CenterSet((np.abs(rng.normal(size=(3, 2))) + 0.5,), nonneg_enforced=True)
         data = MultiViewDataset(views=(x,))
         with pytest.warns(RidgeFallbackWarning):
-            m = update_M(data, AssignmentMatrix(u), enforce_nonneg=True, prev=prev)
+            m = update_M(data, AssignmentMatrix(u), prev=prev)
         assert np.all(np.isfinite(m.centers[0])) and np.all(m.centers[0] >= 0.0)
         before = float(np.sum((x - u @ prev.centers[0]) ** 2))
         assert float(np.sum((x - u @ m.centers[0]) ** 2)) <= before
@@ -250,7 +250,7 @@ class TestUpdateM:
         u = np.zeros((10, 2))
         u[np.arange(10), labels] = 1.0
         data = MultiViewDataset(views=(x,))
-        m = update_M(data, AssignmentMatrix(u), enforce_nonneg=False)
+        m = update_M(data, AssignmentMatrix(u))
         for kk in range(2):
             np.testing.assert_allclose(
                 m.centers[0][kk], x[labels == kk].mean(axis=0), atol=1e-10
@@ -261,9 +261,7 @@ class TestUpdateM:
         # A third label with no rows keeps its previous center on both paths.
         prev = CenterSet((rng.normal(size=(3, 3)),))
         with pytest.warns(DegenerateClusterWarning):
-            m3 = update_M(
-                data, AssignmentMatrix(one_hot(labels, 3)), enforce_nonneg=False, prev=prev
-            )
+            m3 = update_M(data, AssignmentMatrix(one_hot(labels, 3)), prev=prev)
         means3 = cluster_means(x, labels, 3, prev.centers[0])
         np.testing.assert_allclose(means3, m3.centers[0], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(means3[2], prev.centers[0][2])
@@ -274,7 +272,7 @@ class TestUpdateM:
         prev = CenterSet((np.array([[0.0, 0.0], [7.0, 7.0]]),))
         data = MultiViewDataset(views=(x,))
         with pytest.warns(DegenerateClusterWarning):
-            m = update_M(data, AssignmentMatrix(u), enforce_nonneg=False, prev=prev)
+            m = update_M(data, AssignmentMatrix(u), prev=prev)
         np.testing.assert_allclose(m.centers[0][1], [7.0, 7.0])
         np.testing.assert_allclose(m.centers[0][0], x.mean(axis=0), atol=1e-12)
 
@@ -283,7 +281,7 @@ class TestUpdateM:
         x = rng.normal(size=(6, 2))
         u = rng.dirichlet(np.ones(3), size=6)
         data = MultiViewDataset(views=(x,))
-        m = update_M(data, AssignmentMatrix(u), enforce_nonneg=False)
+        m = update_M(data, AssignmentMatrix(u))
         ref = np.linalg.pinv(u) @ x
         np.testing.assert_allclose(m.centers[0], ref, atol=1e-10)
 
@@ -300,7 +298,7 @@ class TestUpdateM:
             data = MultiViewDataset(views=(x,))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RidgeFallbackWarning)
-                m = update_M(data, AssignmentMatrix(u), enforce_nonneg=False)
+                m = update_M(data, AssignmentMatrix(u))
             mv = m.centers[0]
             assert np.all(np.isfinite(mv))
             if any(issubclass(w.category, RidgeFallbackWarning) for w in caught):
@@ -314,7 +312,7 @@ class TestUpdateM:
         x = np.abs(rng.normal(size=(12, 2)))
         u = rng.dirichlet(np.ones(3), size=12)
         data = MultiViewDataset(views=(x,))
-        m = update_M(data, AssignmentMatrix(u), enforce_nonneg=True)
+        m = update_M(data, AssignmentMatrix(u))
         assert all(float(mv.min()) >= 0.0 for mv in m.centers)
 
     def test_residual_never_increases(self):
@@ -323,7 +321,7 @@ class TestUpdateM:
         u = rng.dirichlet(np.ones(3), size=15)
         data = MultiViewDataset(views=(x,))
         prev = CenterSet((rng.normal(size=(3, 3)),))
-        new = update_M(data, AssignmentMatrix(u), enforce_nonneg=False, prev=prev)
+        new = update_M(data, AssignmentMatrix(u), prev=prev)
         before = float(np.sum((x - u @ prev.centers[0]) ** 2))
         after = float(np.sum((x - u @ new.centers[0]) ** 2))
         assert after <= before + 1e-9
