@@ -2,7 +2,10 @@
 
 Each case fits one algorithm on a small ``orkmc.datagen`` dataset and keeps
 the assignment matrix U, the centers, the view weights, the objective trace,
-the NMI and, for ORKMC, ``frozen_at``.  ``tests/test_goldens.py`` compares a
+the NMI and, for ORKMC, ``frozen_at``.  Besides a tiny stream, ORKMC replays
+the data of acceptance criteria C5/C7 (``case1-single``) and C6 (a shuffled
+noise view, r = 2), the benchmark's ``stream`` shape, and a stream whose
+negative arrivals hit the clamp on nonnegative centers.  ``tests/test_goldens.py`` compares a
 fresh fit against the stored values at 1e-12 relative to each array's largest
 entry, not by hash, because numpy and its BLAS are not pinned.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -53,6 +57,26 @@ def _orkmc_hyper(seed):
     return HyperParams(k=3, eta=0.5, r=0.5, epsilon=0.1, chushi=12, seed=seed)
 
 
+def _c5_data(seed):
+    """The ``case1-single`` preset that acceptance criteria C5 and C7 run."""
+    return datagen.generate(replace(datagen.preset("case1-single").sim, seed=seed))
+
+
+def _c6_data(seed):
+    """Criterion C6's data: one informative view plus a shuffled noise view."""
+    base = datagen.generate(datagen.SimSpec(n=210, k=3, v=1, j=2, seed=seed))
+    return datagen.add_shuffled_noise_view(base, seed=seed)
+
+
+def _clamp_data(seed, chushi):
+    """Nonnegative warm-start rows followed by arrivals with negative entries,
+    so that ``orkmc_step``'s clamp of a moved center row acts."""
+    data = datagen.generate(datagen.SimSpec(n=60, k=3, v=2, j=2, separation=2.0, seed=seed))
+    return MultiViewDataset(
+        views=tuple(x - x[:chushi].min(axis=0) for x in data.views), labels=data.labels
+    )
+
+
 # name -> (dataset, fit).  Every fit is a public entry point with its defaults
 # except where a keyword is given.
 CASES = {
@@ -62,6 +86,20 @@ CASES = {
         lambda d: rkmc_fit(d, RkmcConfig(_rkmc_hyper(10))),
     ),
     "orkmc": (lambda: _data(40, 3, 2, 2, seed=3), lambda d: orkmc_run(d, _orkmc_hyper(3))),
+    "orkmc-c5": (lambda: _c5_data(1), lambda d: orkmc_run(d, HyperParams(k=3, eta=5.0, chushi=620, seed=1))),
+    "orkmc-c6": (
+        lambda: _c6_data(2),
+        lambda d: orkmc_run(d, HyperParams(k=3, eta=20.0, r=2.0, chushi=130, seed=2)),
+    ),
+    # The shape of the benchmark's stream workload: K = 5, two views of 10.
+    "orkmc-stream": (
+        lambda: datagen.generate(datagen.SimSpec(n=200, k=5, v=2, j=10, seed=11)),
+        lambda d: orkmc_run(d, HyperParams(k=5, chushi=50, seed=11)),
+    ),
+    "orkmc-clamp": (
+        lambda: _clamp_data(20, 6),
+        lambda d: orkmc_run(d, HyperParams(k=3, eta=0.5, epsilon=1e-3, chushi=6, seed=20)),
+    ),
     "kmeans": (lambda: _data(30, 3, 2, 2, seed=4), lambda d: kmeans_fit(d, 3, seed=4)),
     "pkmeans": (lambda: _data(30, 3, 1, 2, seed=5), lambda d: pkmeans_fit(d, 3, seed=5)),
     "ogd": (lambda: _data(30, 3, 1, 2, seed=6), lambda d: ogd_fit(d, 3, chushi=8, seed=6)),
@@ -122,8 +160,8 @@ def tie_margins(name: str, data, result) -> dict:
     margins = {"soft_label": _soft_label_margin(result.assignment.entries)}
     if name.startswith("rkmc"):
         margins["restart"] = _restart_margin(data, result.metadata["hyper"]["seed"])
-    if name == "orkmc":
-        margins["freeze"] = _freeze_margin(data, _orkmc_hyper(result.metadata["hyper"]["seed"]))
+    if name.startswith("orkmc"):
+        margins["freeze"] = _freeze_margin(data, HyperParams(**result.metadata["hyper"]))
     return margins
 
 

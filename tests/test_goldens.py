@@ -1,7 +1,8 @@
 """Every solver replays its committed golden output (see ``tests/goldens.py``).
 
 The goldens were recorded from the code as it stood before the fit contract
-moved into ``orkmc.model``; a refactor that keeps outputs identical keeps
+moved into ``orkmc.model``, and the ``orkmc-*`` cases before the one-row fast
+path of the per-arrival update; a refactor that keeps outputs identical keeps
 these passing.  Values are compared at ``goldens.RTOL`` relative to each
 array's largest entry; ``frozen_at`` and the hard labels must match exactly.
 """
