@@ -10,11 +10,12 @@ simplex-constrained QP with the shared Hessian ``2 (sum_v M_v M_v' + eta I)``;
 two projected-gradient sweeps from the previous ``U`` pick each row's starting
 face, and the batched active-set kernel solves all rows to their KKT
 conditions.  Every column of ``M_v`` is a least-squares problem with the
-shared Gram matrix ``U_live' U_live``: the normal equations for mixed-sign
-data, or, when the data is nonnegative, one batched NNLS per view,
-warm-started from the previous centers.  Both half-steps are monotone, so the
-objective trace never increases outside of logged center re-seed events;
-singular systems take a flagged ridge fallback.
+shared Gram matrix ``U_live' U_live``, so every view's columns are solved
+together: one Cholesky of the normal equations for mixed-sign data, or, when
+the data is nonnegative, one batched NNLS warm-started from the previous
+centers.  Both half-steps are monotone, so the objective trace never
+increases outside of logged center re-seed events; singular systems take a
+flagged ridge fallback.
 """
 
 from __future__ import annotations
@@ -122,14 +123,16 @@ def update_M(
 ) -> CenterSet:
     """Least-squares center update at fixed assignments.
 
-    Per view, ``M_v = argmin ||X_v - U M_v||_F^2``.  When every view of
-    ``data`` is nonnegative (:func:`~orkmc.kernels.data_nonneg`, one min-scan
-    of the data per call) the centers are kept nonnegative: one
+    Per view, ``M_v = argmin ||X_v - U M_v||_F^2``; the views' columns are
+    stacked and solved in one call.  When every view of ``data`` is
+    nonnegative (:func:`~orkmc.kernels.data_nonneg`, one min-scan of the data
+    per call) the centers are kept nonnegative: one
     :func:`~orkmc.kernels.nnls` call solves every column exactly,
-    warm-started from ``prev``.  Otherwise the normal equations are solved,
-    with a ridge fallback.  The returned centers record which rule applied in
-    ``nonneg_enforced``.  Clusters whose soft mass vanished keep their
-    previous centers and a :class:`DegenerateClusterWarning` is emitted.
+    warm-started from ``prev``.  Otherwise the normal equations are solved
+    with one Cholesky factorization, with a ridge fallback.  The returned
+    centers record which rule applied in ``nonneg_enforced``.  Clusters
+    whose soft mass vanished keep their previous centers and a
+    :class:`DegenerateClusterWarning` is emitted.
     """
     uu = u.entries
     k = uu.shape[1]
@@ -144,17 +147,15 @@ def update_M(
         )
     ul = uu[:, live]
     nonneg = data_nonneg(data.views)
-    g = None if nonneg else ul.T @ ul
-    out = []
-    for v, x in enumerate(data.views):
-        mv = np.zeros((k, x.shape[1])) if prev is None else prev.centers[v].copy()
-        if np.any(live):
-            if nonneg:
-                mv[live] = nnls(ul, x, start=np.maximum(mv[live], 0.0))
-            else:
-                mv[live] = solve_ridge_normal(g, ul.T @ x)
-        out.append(mv)
-    return CenterSet(tuple(out), nonneg_enforced=nonneg)
+    x = data.stacked()
+    m = np.zeros((k, x.shape[1])) if prev is None else np.hstack(prev.centers)
+    if np.any(live):
+        if nonneg:
+            m[live] = nnls(ul, x, start=np.maximum(m[live], 0.0))
+        else:
+            m[live] = solve_ridge_normal(ul.T @ ul, ul.T @ x)
+    splits = np.cumsum(data.feature_counts)[:-1]
+    return CenterSet(tuple(np.split(m, splits, axis=1)), nonneg_enforced=nonneg)
 
 
 def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet) -> np.ndarray:

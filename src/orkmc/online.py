@@ -17,6 +17,7 @@ arrival order.  Distinct states may run in parallel.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -43,21 +44,23 @@ def weights_from_residuals(d: np.ndarray, r: float) -> np.ndarray:
 
     ``alpha_v propto D_v ** (1/(1-r))`` for ``r != 1`` (computed in log space);
     ``r = 1`` gives uniform weights; views with zero residual split the whole
-    weight among themselves.
+    weight among themselves.  The V residuals are handled as Python floats,
+    since each arrival refreshes the weights once.
     """
-    d = np.asarray(d, dtype=np.float64)
-    v = d.shape[0]
+    d = np.asarray(d, dtype=np.float64).tolist()
+    v = len(d)
     if v == 1:
         return np.ones(1)
     if r == 1.0:
         return np.full(v, 1.0 / v)
-    zero = d <= 0.0
-    if np.any(zero):
-        return zero.astype(np.float64) / zero.sum()
-    log_a = np.log(d) / (1.0 - r)
-    log_a -= log_a.max()
-    a = np.exp(log_a)
-    return a / a.sum()
+    n_zero = sum(x <= 0.0 for x in d)
+    if n_zero:
+        return np.array([1.0 / n_zero if x <= 0.0 else 0.0 for x in d])
+    log_a = [math.log(x) / (1.0 - r) for x in d]
+    top = max(log_a)
+    a = [math.exp(la - top) for la in log_a]
+    total = sum(a)
+    return np.array([ai / total for ai in a])
 
 
 @dataclass
@@ -178,9 +181,10 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     weights.
 
     When the warm-start batch was nonnegative the moved row is clamped at
-    zero.  On nonnegative arrivals the clamp never acts (``old, x >= 0`` and
-    ``c >= 1`` give a rounded ``old + (x - old) / c >= 0``); it keeps an
-    arrival with a negative entry from pulling a center below zero.
+    zero: its move is raised to at least ``-old``.  On nonnegative arrivals
+    the clamp never acts (``old, x >= 0`` and ``c >= 1`` give a rounded
+    ``old + (x - old) / c >= 0``); it keeps an arrival with a negative entry
+    from pulling a center below zero.  The drift is the norm of the move.
     """
     xs = [np.asarray(x, dtype=np.float64).ravel() for x in arrival]
     if len(xs) != state.centers.n_views:
@@ -192,7 +196,7 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
             raise ValidationError(
                 f"arrival view {v} has {x.shape[0]} features, expected {mv.shape[1]}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValidationError(f"arrival view {v} has non-finite entries")
 
     hyper = state.hyper
@@ -208,11 +212,13 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     if state.frozen_at is None:
         drift = 0.0
         for x, mv in zip(xs, state.centers.centers):
-            old = mv[k_star].copy()
-            mv[k_star] += (x - old) / state.counts[k_star]
+            row = mv[k_star]
+            move = (x - row) / state.counts[k_star]
             if state.centers.nonneg_enforced:
-                np.maximum(mv[k_star], 0.0, out=mv[k_star])
-            drift = max(drift, float(np.linalg.norm(mv[k_star] - old)))
+                # row + max(move, -row) is exactly max(row + move, 0).
+                np.maximum(move, -row, out=move)
+            row += move
+            drift = max(drift, math.sqrt(float(move @ move)))
         state.weights = weights_from_residuals(state.resid_sums, hyper.r)
         if drift <= hyper.epsilon:
             state.frozen_at = state.t

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from orkmc.errors import NumericalError, RidgeFallbackWarning, ValidationError
@@ -68,6 +70,46 @@ class TestProjectSimplex:
             for y, row in zip(batch, out):
                 np.testing.assert_allclose(row, oracles.project_simplex_enum(y), atol=1e-10)
                 assert np.array_equal(row, project_simplex(y))
+
+
+@st.composite
+def projection_inputs(draw):
+    """One vector of length 1-40: random, heavily tied, already on the
+    simplex (interior or a vertex), or of magnitude up to 1e8."""
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "tied", "on-simplex", "vertex", "large"]))
+    y = rng.normal(size=k) * draw(st.sampled_from([0.01, 1.0, 10.0]))
+    if kind == "tied":
+        y = rng.choice(y[: max(1, k // 4)], size=k)
+    elif kind == "on-simplex":
+        y = rng.dirichlet(np.full(k, draw(st.sampled_from([0.1, 1.0, 10.0]))))
+    elif kind == "vertex":
+        y = np.eye(k)[rng.integers(k)]
+    elif kind == "large":
+        y *= 1e8
+    return y
+
+
+# On a failure hypothesis's pytest plugin imports libcst to write a patch, and
+# libcst's import warns; as an error it would abort the whole session.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(projection_inputs())
+def test_one_row_projection_matches_the_batch_branch(y):
+    # Both branches compute the same sequential partial sums and threshold;
+    # only the final renormalizing sum may associate differently (numpy sums
+    # 8 or more entries pairwise), which moves each entry by at most about
+    # K ulp.  The batch branch is the reference.
+    one = _project(y)
+    batch = _project(y[None])[0]
+    assert one.shape == y.shape and one.dtype == np.float64
+    np.testing.assert_array_equal(one == 0.0, batch == 0.0)
+    np.testing.assert_array_max_ulp(one, batch, maxulp=y.size + 1)
+    if y.size <= 8:
+        want = oracles.project_simplex_enum(y)
+        np.testing.assert_allclose(one, want, atol=1e-10)
+        np.testing.assert_allclose(batch, want, atol=1e-10)
 
 
 class TestSolveRowQP:
