@@ -5,9 +5,10 @@ the assignment matrix U, the centers, the view weights, the objective trace,
 the NMI and, for ORKMC, ``frozen_at``.  Besides a tiny stream, ORKMC replays
 the data of acceptance criteria C5/C7 (``case1-single``) and C6 (a shuffled
 noise view, r = 2), the benchmark's ``stream`` shape, and a stream whose
-negative arrivals hit the clamp on nonnegative centers.  ``tests/test_goldens.py`` compares a
-fresh fit against the stored values at 1e-12 relative to each array's largest
-entry, not by hash, because numpy and its BLAS are not pinned.
+negative arrivals hit the clamp on nonnegative centers.
+``tests/test_goldens.py`` compares a fresh fit against the stored values at
+1e-12 relative to each array's largest entry, not by hash, because numpy and
+its BLAS are not pinned.
 
 The cases are chosen away from ties: the two RKMC restarts end at objectives
 that differ by far more than rounding, every ORKMC arrival's center move is
