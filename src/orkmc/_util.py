@@ -72,7 +72,9 @@ def select_initial_rows(x: np.ndarray, k: int, seed: int, tag: str) -> np.ndarra
             if score[i] == -np.inf and best_i >= 0:
                 continue
             alt = np.minimum(d2, np.sum((x - x[i]) ** 2, axis=1))
-            pot = float(alt.sum())
+            # Summed in content order: candidates whose potentials tie
+            # exactly keep tying however the rows are permuted.
+            pot = float(alt[order].sum())
             if pot < best_pot:
                 best_i, best_pot, best_d2 = int(i), pot, alt
         chosen.append(best_i)

@@ -21,8 +21,10 @@ has exactly one implementation here:
 * ``_active_set`` -- the exact solver of both RKMC half-steps: a batched
   primal active-set method for ``min 1/2 x'Ax - b_i'x`` over ``x >= 0``
   (optionally with ``sum(x) = 1``) for many ``b_i`` sharing one PSD ``A``.
-  It stops at the KKT point of every row, after a few rounds of one stacked
-  (K+1) x (K+1) solve each; singular systems take a flagged ridge fallback.
+  It stops at the KKT point of every row, after a few rounds.  In each round
+  the rows free in every coordinate share one factorization of the base
+  (K+1) x (K+1) KKT matrix, and the other rows are solved as one stack of
+  their own KKT matrices; singular systems take a flagged ridge fallback.
 * :func:`solve_row_qp` -- minimizer of one row QP over the simplex.
 * :func:`solve_ridge_normal` -- Cholesky solve of symmetric PSD normal
   equations, with a flagged ridge fallback when they are singular.
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -204,10 +207,22 @@ def _ridge_solve(a: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
 
 
 def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
-    """Solve a stack of KKT systems; singular ones take the ridge fallback
-    (:func:`_ridge_solve` on the ``A`` block) with a warning."""
+    """Solve the KKT systems of the rows of ``rhs``: ``kkt`` is one matrix
+    that every row shares (one factorization, all rows as right-hand sides)
+    or a stack with one matrix per row.  Singular systems take the ridge
+    fallback (:func:`_ridge_solve` on the ``A`` block) with a warning.
+
+    The LU behind ``np.linalg.solve`` notices only an exactly zero pivot; a
+    singular matrix whose rounding leaves a tiny pivot gives huge finite
+    solutions and no fallback.
+    """
+    shared = kkt.ndim == 2
+
+    def solve(fn, mats, r):
+        return fn(mats, r.T).T if shared else fn(mats, r[..., None])[..., 0]
+
     try:
-        z = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+        z = solve(np.linalg.solve, kkt, rhs)
         bad = ~np.isfinite(z).all(axis=1)
     except np.linalg.LinAlgError:
         z = np.empty_like(rhs)
@@ -218,7 +233,7 @@ def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
             RidgeFallbackWarning,
             stacklevel=3,
         )
-        z[bad] = _ridge_solve(kkt[bad], rhs[bad][..., None], k)[..., 0]
+        z[bad] = solve(partial(_ridge_solve, k=k), kkt if shared else kkt[bad], rhs[bad])
     return z
 
 
@@ -228,17 +243,24 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
     ``b``; all rows share the symmetric PSD ``A``.
 
     ``x0`` holds one feasible start per row, and its support is the row's
-    first free set.  Each round stacks the (K+1) x (K+1) KKT systems of the
-    rows still active (K x K without the simplex; a fixed coordinate gets an
-    identity row) and solves them in one batched ``np.linalg.solve``, so a
-    call costs about rounds x one (K+1)^3 solve per active row.  A row whose
-    solution leaves the orthant steps back to the first blocking coordinate
-    and fixes it at zero (Lawson-Hanson interpolation); a row at its face
-    optimum frees its most negative multiplier, or stops once every
+    first free set.  Each round solves the (K+1) x (K+1) KKT systems of the
+    rows still active (K x K without the simplex).  A row free in every
+    coordinate has exactly the base matrix, so all such rows are solved
+    against one factorization of it, as the columns of one right-hand side.
+    The other rows get their own matrix (a fixed coordinate gets an identity
+    row) and are solved in one batched ``np.linalg.solve``.  A call thus costs
+    about rounds x (one (K+1)^3 solve per active row below full support, plus
+    one shared solve).
+
+    A row whose solution leaves the orthant steps back to the first blocking
+    coordinate and fixes it at zero (Lawson-Hanson interpolation); a row at
+    its face optimum frees its most negative multiplier, or stops once every
     multiplier is at least ``-tol`` (widened to the rounding level of the
     data).  Every round is a descent step, so no row ends above its start.
     Singular systems (duplicate centers at eta = 0, identical Gram columns)
-    take the ``RIDGE_DELTA`` fallback and warn :class:`RidgeFallbackWarning`.
+    take the ``RIDGE_DELTA`` fallback and warn :class:`RidgeFallbackWarning`,
+    the shared base system included, as far as the LU sees the singularity
+    (see :func:`_solve_kkt`).
     """
     n, k = b.shape
     x = np.array(x0, dtype=np.float64)
@@ -256,15 +278,24 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
         if rows.size == 0:
             break
         f = free[rows]
-        fm = np.ones((rows.size, d))
-        fm[:, :k] = f
-        kkt = fm[:, :, None] * fm[:, None, :]
-        kkt *= base
-        # A fixed coordinate's row and column are zero but for a unit diagonal.
-        kkt.reshape(rows.size, -1)[:, : k * (d + 1) : d + 1] += ~f
-        rhs = fm.copy()  # the simplex row's right-hand side is 1
+        rhs = np.ones((rows.size, d))  # the simplex row's right-hand side is 1
         rhs[:, :k] = np.where(f, b[rows], 0.0)
-        z = _solve_kkt(kkt, rhs, k)
+        # A row free in every coordinate has exactly the base system: one
+        # factorization serves all of them.
+        full = f.all(axis=1)
+        part = ~full
+        z = np.empty_like(rhs)
+        if full.any():
+            z[full] = _solve_kkt(base, rhs[full], k)
+        if part.any():
+            fp = f[part]
+            fm = np.ones((fp.shape[0], d))
+            fm[:, :k] = fp
+            kkt = fm[:, :, None] * fm[:, None, :]
+            kkt *= base
+            # A fixed coordinate's row and column are zero but for a unit diagonal.
+            kkt.reshape(fp.shape[0], -1)[:, : k * (d + 1) : d + 1] += ~fp
+            z[part] = _solve_kkt(kkt, rhs[part], k)
         zx = np.where(f, z[:, :k], 0.0)
 
         # Rows that leave the orthant: step back to the first blocking coordinate.

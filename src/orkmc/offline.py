@@ -100,7 +100,8 @@ def update_U(
     ``2 (sum_v M_v M_v' + eta I)`` exactly: ``FACE_SWEEPS`` projected-gradient
     sweeps from ``u_prev`` (uniform rows when None) pick each row's starting
     face, and the batched active-set kernel then solves all rows to their KKT
-    conditions, at about one stacked (K+1) x (K+1) solve per round.
+    conditions.  Per round, the rows at full support share one factorization
+    of the base (K+1) x (K+1) KKT matrix and the rest take one stacked solve.
     Hard mode picks the best simplex vertex, i.e. the nearest center.
     """
     k = m.k

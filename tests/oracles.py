@@ -163,6 +163,103 @@ def nnls_kkt(g, b, x):
     return primal, dual, comp
 
 
+def active_set_stacked(a, b, x0, simplex, tol, ridge_delta=1e-10, rounds_per_dim=10):
+    """The batched active-set kernel with one stacked KKT matrix per pending
+    row in every round, full-support rows included: the form the package's
+    ``kernels._active_set`` had before full-support rows shared one
+    factorization of the base system.  Kept verbatim (with its own ridge
+    fallback, which warns ``RidgeFallbackWarning``) as the reference the split
+    kernel must agree with."""
+    import warnings
+
+    from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
+
+    def ridge_solve(m, rhs, k):
+        ridged = m.copy()
+        diag = np.arange(k)
+        ridged[..., diag, diag] += ridge_delta
+        x = np.linalg.solve(ridged, rhs)
+        x += np.linalg.solve(ridged, rhs - m @ x)
+        return x
+
+    def solve_kkt(kkt, rhs, k):
+        try:
+            z = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+            bad = ~np.isfinite(z).all(axis=1)
+        except np.linalg.LinAlgError:
+            z = np.empty_like(rhs)
+            bad = np.ones(rhs.shape[0], dtype=bool)
+        if bad.any():
+            warnings.warn("singular KKT system (reference kernel)", RidgeFallbackWarning)
+            z[bad] = ridge_solve(kkt[bad], rhs[bad][..., None], k)[..., 0]
+        return z
+
+    n, k = b.shape
+    x = np.array(x0, dtype=np.float64)
+    free = x > 0
+    d = k + 1 if simplex else k
+    base = np.zeros((d, d))
+    base[:k, :k] = a
+    if simplex:
+        base[:k, k] = base[k, :k] = 1.0
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    tol = max(tol, 1e3 * np.finfo(float).eps * scale)
+    pending = np.ones(n, dtype=bool)
+    for _ in range(rounds_per_dim * (k + 1)):
+        rows = np.flatnonzero(pending)
+        if rows.size == 0:
+            break
+        f = free[rows]
+        fm = np.ones((rows.size, d))
+        fm[:, :k] = f
+        kkt = fm[:, :, None] * fm[:, None, :]
+        kkt *= base
+        kkt.reshape(rows.size, -1)[:, : k * (d + 1) : d + 1] += ~f
+        rhs = fm.copy()
+        rhs[:, :k] = np.where(f, b[rows], 0.0)
+        z = solve_kkt(kkt, rhs, k)
+        zx = np.where(f, z[:, :k], 0.0)
+
+        block = f & (zx <= 0.0)
+        step = block.any(axis=1)
+        if step.any():
+            xs, zs, bs = x[rows[step]], zx[step], block[step]
+            gap = xs - zs
+            ratio = np.full_like(xs, np.inf)
+            np.divide(xs, gap, out=ratio, where=bs & (gap > 0))
+            ratio[bs & (gap <= 0)] = 0.0
+            alpha = ratio.min(axis=1, keepdims=True)
+            xn = xs + alpha * (zs - xs)
+            drop = (bs & (ratio <= alpha)) | (xn <= 0.0)
+            xn[drop] = 0.0
+            x[rows[step]] = xn
+            free[rows[step]] = f[step] & ~drop
+
+        opt = ~step
+        if opt.any():
+            ro, zo = rows[opt], zx[opt]
+            lam = zo @ a - b[ro]
+            if simplex:
+                lam += z[opt, k:]
+            lam[f[opt]] = np.inf
+            j = lam.argmin(axis=1)
+            add = lam[np.arange(ro.size), j] < -tol
+            x[ro] = zo
+            free[ro[add], j[add]] = True
+            pending[ro[~add]] = False
+    if pending.any():
+        warnings.warn("reference active-set solve stopped short of KKT", ConvergenceWarning)
+    if simplex:
+        x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
+def sq_sum_fsum(a):
+    """Correctly rounded sum of the squared entries of ``a`` (each square
+    rounded once, then summed exactly by ``math.fsum``)."""
+    return math.fsum(float(v) * float(v) for v in np.asarray(a, dtype=float).ravel())
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

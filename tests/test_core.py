@@ -1,5 +1,7 @@
 """Core types, objectives and the invariant checker."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from orkmc.model import (
     objective_online,
     objective_rkmc,
     validate,
+    view_residuals,
 )
 
 
@@ -167,6 +170,40 @@ class TestObjectiveOnline:
             (x1, x2), u.tolist(), (m1.tolist(), m2.tolist()), alpha, 1.7, 0.9
         )
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestSquaredSums:
+    # OpenBLAS threads a ddot above 10 000 elements; the sums must not depend
+    # on which side of that size an input falls, so each is pinned to the
+    # correctly rounded sum on both sides of it.
+    @pytest.mark.parametrize("n", [900, 1200])
+    def test_two_views_and_objective_match_fsum(self, n):
+        rng = np.random.default_rng(n)
+        k = 10
+        views = tuple(rng.normal(size=(n, 10)) * 3 for _ in range(2))
+        u = rng.dirichlet(np.ones(k), size=n)
+        centers = tuple(rng.normal(size=(k, 10)) for _ in range(2))
+        resid = [x - u @ m for x, m in zip(views, centers)]
+        want = [oracles.sq_sum_fsum(r) for r in resid]
+        np.testing.assert_allclose(view_residuals(views, u, centers), want, rtol=1e-13, atol=0)
+
+        alpha, r, eta = np.array([0.3, 0.7]), 1.7, 0.9
+        got = objective_online(
+            MultiViewDataset(views=views), AssignmentMatrix(u), CenterSet(centers), alpha, r, eta
+        )
+        terms = [a**r * d for a, d in zip(alpha, want)] + [eta * oracles.sq_sum_fsum(u)]
+        assert got == pytest.approx(math.fsum(terms), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("j", [9000, 12000])
+    def test_single_sample_matches_fsum(self, j):
+        rng = np.random.default_rng(j)
+        x = rng.normal(size=j) * 3
+        u = rng.dirichlet(np.ones(4))
+        m = rng.normal(size=(4, j))
+        want = oracles.sq_sum_fsum(x - u @ m)
+        got = view_residuals((x,), u, (m,))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestValidate:

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 import oracles
 from orkmc.errors import NumericalError, RidgeFallbackWarning, ValidationError
 from orkmc.kernels import (
+    KKT_TOL,
     RowQP,
+    _active_set,
     _project,
     _solve_kkt,
+    assignment_qp,
     nnls,
     project_simplex,
     solve_ridge_normal,
@@ -171,6 +174,27 @@ class TestRidgeFallback:
         with pytest.warns(RidgeFallbackWarning):
             z = _solve_kkt(kkt, rhs, 2)
         np.testing.assert_allclose(np.einsum("nij,nj->ni", kkt, z), rhs, rtol=0, atol=1e-14)
+
+
+    def test_singular_shared_kkt_is_solved_for_every_row(self):
+        kkt = np.array([[4.0, 4.0], [4.0, 4.0]])
+        rhs = np.array([[2.0, 2.0], [1.0, 1.0]])  # consistent right-hand sides
+        with pytest.warns(RidgeFallbackWarning):
+            z = _solve_kkt(kkt, rhs, 2)
+        np.testing.assert_allclose(z @ kkt.T, rhs, rtol=0, atol=1e-14)
+
+    def test_singular_base_warns_for_full_support_rows(self):
+        # eta = 0 and two equal centers: the base KKT matrix, which every row
+        # at full support shares, is exactly singular.
+        m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        x = np.array([[0.9, 0.3], [0.2, 1.5], [2.0, -1.0]])
+        h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
+        with pytest.warns(RidgeFallbackWarning):
+            u = _active_set(h, c, np.full((3, 3), 1.0 / 3.0), True, KKT_TOL)
+        assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        for row, ci in zip(u, c):
+            assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-12
 
 
 class TestNnls:

@@ -1,5 +1,6 @@
-"""Property tests: the exact half-steps meet their KKT conditions, and the
-streaming solver keeps nonnegative centers nonnegative.
+"""Property tests: the exact half-steps meet their KKT conditions and agree
+with the stacked-only reference kernel, an RKMC fit is equivariant under row
+permutations, and the streaming solver keeps nonnegative centers nonnegative.
 
 The enumeration oracles stop at K = 3 or so; these draw K up to 17, eta = 0
 with duplicate centers, identical Gram columns, 1-D and 2-D right-hand sides
@@ -10,6 +11,7 @@ the suite gives the same verdict on every run.
 """
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from orkmc.kernels import _active_set, assignment_qp, nnls
+from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
+from orkmc.kernels import KKT_TOL, _active_set, assignment_qp, nnls
 from orkmc.model import AssignmentMatrix, CenterSet, HyperParams, MultiViewDataset, validate
-from orkmc.offline import update_M, update_U
+from orkmc.offline import RkmcConfig, rkmc_fit, update_M, update_U
 from orkmc.online import orkmc_init, orkmc_run, orkmc_step
 
 pytestmark = [
@@ -82,6 +85,88 @@ def test_update_u_rows_meet_kkt(case):
 
 
 @st.composite
+def split_problems(draw):
+    """A batched active-set problem (simplex or NNLS form) whose rows start at
+    full support in all, none or some rows.  A singular draw makes the base
+    KKT matrix singular: eta = 0 with duplicate centers, or duplicate NNLS
+    columns; a regular draw keeps it well conditioned."""
+    simplex, singular = draw(st.booleans()), draw(st.booleans())
+    k, n = draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dups = draw(st.integers(1, k - 1))
+    if simplex:
+        m = rng.normal(size=(k, draw(st.integers(1, k + 2)))) * 3
+        if singular:
+            m[1 : dups + 1] = m[0]
+        eta = 0.0 if singular else draw(st.sampled_from([1e-3, 0.5, 5.0]))
+        x = rng.normal(size=(n, m.shape[1])) * 3
+        a, b = assignment_qp((x,), (m,), np.ones(1), eta)
+        x0 = rng.dirichlet(np.ones(k), size=n)
+    else:
+        cols = rng.normal(size=(k + draw(st.integers(2, 8)), k))
+        if singular:
+            cols[:, 1 : dups + 1] = cols[:, :1]
+        a = cols.T @ cols
+        b = (cols.T @ rng.normal(size=(cols.shape[0], n))).T * 2
+        x0 = rng.uniform(0.1, 2.0, size=(n, k))
+    full = {
+        "all": np.ones(n, dtype=bool),
+        "none": np.zeros(n, dtype=bool),
+        "some": rng.random(n) < 0.5,
+    }[draw(st.sampled_from(["all", "none", "some"]))]
+    for i in np.flatnonzero(~full):
+        # At least one zero, and on the simplex at least one positive entry.
+        x0[i, rng.permutation(k)[: rng.integers(1, k if simplex else k + 1)]] = 0.0
+    if simplex:
+        x0 /= x0.sum(axis=1, keepdims=True)
+    return a, b, x0, simplex, singular
+
+
+@PROPERTY
+@given(split_problems())
+def test_full_support_split_matches_the_stacked_kernel(case):
+    # Rows at full support share one factorization of the base KKT matrix;
+    # the stacked-only reference builds one matrix per row.  On a regular
+    # base both give the same rows to rounding.  On a singular base the
+    # minimizer need not be unique, so the rows are checked by their KKT
+    # conditions and objective; when the LU sees the base as singular, the
+    # full-support rows take the ridge fallback and warn (an LU that misses an
+    # exact singularity, through rounding, gives no warning).
+    a, b, x0, simplex, singular = case
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        x = _active_set(a, b, x0, simplex, KKT_TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RidgeFallbackWarning)
+        ref = oracles.active_set_stacked(a, b, x0, simplex, KKT_TOL)
+    categories = [w.category for w in got]
+    assert ConvergenceWarning not in categories
+    assert np.isfinite(x).all()
+    for row, bi in zip(x, b):
+        cert = oracles.simplex_qp_kkt(a, bi, row) if simplex else oracles.nnls_kkt(a, bi, row)
+        assert max(cert) <= KKT
+    if simplex:
+        assert np.all(x >= 0.0)
+        np.testing.assert_allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    if not singular:
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+        return
+    f = lambda v: np.einsum("ij,jk,ik->i", v, a, v) / 2 - np.einsum("ij,ij->i", b, v)
+    scale = max(1.0, np.abs(a).max(), np.abs(b).max()) * max(1.0, np.abs(ref).max()) ** 2
+    np.testing.assert_allclose(f(x), f(ref), rtol=0, atol=1e-9 * scale)
+    d = a.shape[0] + simplex
+    base = np.zeros((d, d))
+    base[: a.shape[0], : a.shape[0]] = a
+    if simplex:
+        base[:-1, -1] = base[-1, :-1] = 1.0
+    try:
+        np.linalg.solve(base, np.ones(d))
+    except np.linalg.LinAlgError:
+        if np.all(x0 > 0.0, axis=1).any():
+            assert RidgeFallbackWarning in categories
+
+
+@st.composite
 def nnls_problems(draw):
     k = draw(st.integers(1, 17))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -136,6 +221,47 @@ def test_nonneg_update_m_columns_meet_kkt(case):
     g, rhs = u.T @ u, u.T @ x
     for col in range(x.shape[1]):
         assert max(oracles.nnls_kkt(g, rhs[:, col], m.centers[0][:, col])) <= KKT
+
+
+@st.composite
+def permuted_fits(draw):
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(k + 2, 30))
+    labels = rng.integers(0, k, size=n)
+    views = tuple(
+        rng.normal(size=(k, j))[labels] * 4 + rng.normal(size=(n, j))
+        for j in rng.integers(1, 4, size=draw(st.integers(1, 2)))
+    )
+    hyper = HyperParams(
+        k=k,
+        eta=draw(st.sampled_from([0.1, 1.0])),
+        max_iter=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return MultiViewDataset(views=views), hyper, rng.permutation(n)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(permuted_fits())
+def test_rkmc_fit_is_row_permutation_equivariant(case):
+    # Permuting the rows permutes U's rows and leaves the centers and the
+    # final objective in place, up to a relabelling of the clusters (the two
+    # restarts may tie and be kept in either order).
+    data, hyper, perm = case
+    res = rkmc_fit(data, RkmcConfig(hyper=hyper))
+    res_p = rkmc_fit(data.take_rows(perm), RkmcConfig(hyper=hyper))
+    m, m_p = np.hstack(res.centers.centers), np.hstack(res_p.centers.centers)
+    relabel = np.array([np.argmin(((m_p - row) ** 2).sum(axis=1)) for row in m])
+    assert sorted(relabel.tolist()) == list(range(hyper.k))
+    scale = max(1.0, np.abs(m).max())
+    np.testing.assert_allclose(m_p[relabel], m, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(res_p.assignment.entries[:, relabel], res.assignment.entries[perm],
+                               rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(
+        relabel[res.assignment.hard_labels[perm]], res_p.assignment.hard_labels
+    )
+    assert res_p.objective_trace[-1] == pytest.approx(res.objective_trace[-1], rel=1e-9, abs=0)
 
 
 @st.composite

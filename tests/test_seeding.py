@@ -1,5 +1,7 @@
 """Seeded randomness: ``rng_for`` seeds and kmeans++ row selection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,23 @@ def test_permuting_rows_selects_the_same_content():
             idx = select_initial_rows(x, k, case, "perm")
             idx_p = select_initial_rows(x[perm], k, case, "perm")
             assert np.array_equal(x[idx], x[perm][idx_p]), (case, k)
+
+
+def test_exact_potential_tie_is_broken_the_same_way_in_every_row_order():
+    # Rows 1 and 4 are each other's nearest neighbours and every other row is
+    # nearer to row 0, so after row 0 the two candidates' potentials tie
+    # exactly; their floating sums must not let the row order pick one.
+    x = np.array([
+        [-2.37648535, 1.02890016, 1.39829621],
+        [0.9358776, 4.01664643, -2.42644184],
+        [-4.38312234, 0.66983046, -0.41418701],
+        [-2.71699073, 0.69192172, 1.69881239],
+        [0.3973255, 5.17393004, -4.48558579],
+    ])
+    want = x[select_initial_rows(x, 3, 22, "rkmc-init-1")]
+    for perm in itertools.permutations(range(5)):
+        xp = x[list(perm)]
+        np.testing.assert_array_equal(xp[select_initial_rows(xp, 3, 22, "rkmc-init-1")], want)
 
 
 def test_duplicate_of_a_chosen_row_waits_for_every_distinct_row():
