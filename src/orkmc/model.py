@@ -281,7 +281,8 @@ def _conforming(data: MultiViewDataset, u, m) -> tuple:
 
 
 def _sq_norm(a: np.ndarray) -> float:
-    """Sum of the squared entries of ``a``, reduced by numpy's own loop."""
+    """Sum of the squared entries of ``a``, reduced by numpy's own einsum
+    loop (never BLAS; see :func:`view_residuals`)."""
     flat = a.ravel()
     return float(np.einsum("i,i->", flat, flat))
 

@@ -89,7 +89,7 @@ def split_problems(draw):
     """A batched active-set problem (simplex or NNLS form) whose rows start at
     full support in all, none or some rows.  A singular draw makes the base
     KKT matrix singular: eta = 0 with duplicate centers, or duplicate NNLS
-    columns; a regular draw keeps it well conditioned."""
+    columns; a regular draw keeps it nonsingular."""
     simplex, singular = draw(st.booleans()), draw(st.booleans())
     k, n = draw(st.integers(2, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
