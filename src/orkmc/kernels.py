@@ -32,7 +32,11 @@ has exactly one implementation here:
   the diagonal, then one refinement step against the unregularized system.
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
   for one or many right-hand sides, in Gram form through ``_active_set``.
-* :func:`sq_dists` -- squared Euclidean distances from rows to centers.
+* :func:`sq_dists` -- squared Euclidean distances from rows to centers.  The
+  cross term is numpy's own ``einsum`` loop, never a BLAS gemm: a threaded
+  gemm leaves an OpenBLAS worker spinning after every call, which cost a
+  100-iteration Lloyd fit on 10 000 x 20 rows 0.8 s of CPU on other threads.
+  The einsum is about 0.9 ms slower per call at 10 000 x 20 x 10.
 * :func:`cluster_means` -- per-cluster means of the rows with each hard label.
 * :func:`one_hot` -- the one-hot assignment matrix of hard labels.
 * :func:`data_nonneg` -- the rule that centers are kept nonnegative exactly
@@ -406,10 +410,17 @@ def nnls(a, b, tol: float = KKT_TOL, start=None) -> np.ndarray:
 
 def sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from every row of ``x`` to every center,
-    clamped at zero against cancellation."""
+    clamped at zero against cancellation.
+
+    The cross term ``x centers'`` is taken by ``np.einsum``, which never calls
+    BLAS.  OpenBLAS threads the gemm at Lloyd's sizes, and its worker thread
+    then spins for far longer than the product takes; the einsum costs 1.1
+    instead of 0.2 ms of wall per call at 10 000 x 20 x 10, and no CPU on
+    other threads.
+    """
     d = (
         (x * x).sum(axis=1)[:, None]
-        - 2.0 * x @ centers.T
+        - 2.0 * np.einsum("ij,kj->ik", x, centers)
         + (centers * centers).sum(axis=1)[None, :]
     )
     return np.maximum(d, 0.0)

@@ -32,6 +32,7 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
+    _sq_norm,
     fit_result,
     view_residuals,
 )
@@ -162,7 +163,7 @@ def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState
 
     state.counts = np.bincount(hard, minlength=k).astype(np.int64)
     state.resid_sums = view_residuals(data_prefix.views, u, centers.centers)
-    state.u_sq_sum = float(np.dot(u.ravel(), u.ravel()))
+    state.u_sq_sum = _sq_norm(u)
     state.U_rows = [u[i] for i in range(t0)]
     return state
 

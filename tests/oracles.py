@@ -354,6 +354,43 @@ def lloyd_reference(x, centers0, n_iter):
     return history
 
 
+def select_initial_rows_full_sort(x, k, seed, tag):
+    """kmeans++ seeding as it stood before the sort shortcuts: the content
+    order is ``np.lexsort(x.T)`` and each step's candidates are the prefix of
+    a full stable ``argsort`` of the negated scores.  The draws are those of
+    ``orkmc._util.rng_for(seed, tag)``, written out here."""
+    n = x.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed] + list(tag.encode("utf-8"))))
+    order = np.lexsort(x.T)
+    keys = np.empty(n)
+    taken = np.zeros(n, dtype=bool)
+    keys[order] = rng.random(n)
+    chosen = [int(np.argmax(keys))]
+    taken[chosen[0]] = True
+    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    n_candidates = 2 + int(math.ceil(math.log(max(k, 2))))
+    for _ in range(1, k):
+        keys[order] = rng.random(n)
+        score = np.full(n, -np.inf)
+        ok = (~taken) & (d2 > 0)
+        score[ok] = np.log(keys[ok]) / d2[ok]
+        if not np.any(np.isfinite(score)):
+            score[~taken] = keys[~taken]
+        cand = np.argsort(-score, kind="stable")[:n_candidates]
+        best_i, best_pot, best_d2 = -1, np.inf, d2
+        for i in cand:
+            if score[i] == -np.inf and best_i >= 0:
+                continue
+            alt = np.minimum(d2, np.sum((x - x[i]) ** 2, axis=1))
+            pot = float(alt[order].sum())
+            if pot < best_pot:
+                best_i, best_pot, best_d2 = int(i), pot, alt
+        chosen.append(best_i)
+        taken[best_i] = True
+        d2 = best_d2
+    return np.asarray(chosen, dtype=np.intp)
+
+
 def sse_direct(x, centers, labels):
     total = 0.0
     for i in range(x.shape[0]):

@@ -1,5 +1,8 @@
 """Lloyd, power K-means, OGD and OMU behaviors."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,20 @@ class TestKmeans:
         assert res.centers.n_views == 2
         assert res.centers.centers[0].shape == (2, 2)
         assert res.centers.centers[1].shape == (2, 3)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
+    def test_fit_spends_no_cpu_on_other_threads(self):
+        # A threaded BLAS product leaves its worker spinning after every call;
+        # Lloyd's distances must not wake it.  process_time counts every
+        # thread of the process, thread_time only this one.
+        x = np.random.default_rng(7).normal(size=(10000, 20))
+        data = MultiViewDataset(views=(x,))
+        time.sleep(0.3)
+        others = time.process_time() - time.thread_time()
+        kmeans_fit(data, 10, seed=3)
+        time.sleep(0.3)
+        others = time.process_time() - time.thread_time() - others
+        assert others < 0.02
 
 
 class TestPkmeans:

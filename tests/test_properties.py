@@ -1,6 +1,7 @@
 """Property tests: the exact half-steps meet their KKT conditions and agree
-with the stacked-only reference kernel, an RKMC fit is equivariant under row
-permutations, and the streaming solver keeps nonnegative centers nonnegative.
+with the stacked-only reference kernel, RKMC and Lloyd fits are equivariant
+under row permutations, and the streaming solver keeps nonnegative centers
+nonnegative.
 
 The enumeration oracles stop at K = 3 or so; these draw K up to 17, eta = 0
 with duplicate centers, identical Gram columns, 1-D and 2-D right-hand sides
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from orkmc.baselines import kmeans_fit
 from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
 from orkmc.kernels import KKT_TOL, _active_set, assignment_qp, nnls
 from orkmc.model import AssignmentMatrix, CenterSet, HyperParams, MultiViewDataset, validate
@@ -261,6 +263,27 @@ def test_rkmc_fit_is_row_permutation_equivariant(case):
     np.testing.assert_array_equal(
         relabel[res.assignment.hard_labels[perm]], res_p.assignment.hard_labels
     )
+    assert res_p.objective_trace[-1] == pytest.approx(res.objective_trace[-1], rel=1e-9, abs=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(permuted_fits())
+def test_kmeans_fit_is_row_permutation_equivariant(case):
+    # Seeding picks the same data points in any row order, so Lloyd's centers
+    # stay in place up to a relabelling and each row keeps its hard label.
+    data, hyper, perm = case
+    res = kmeans_fit(data, hyper.k, max_iter=hyper.max_iter, seed=hyper.seed)
+    res_p = kmeans_fit(data.take_rows(perm), hyper.k, max_iter=hyper.max_iter, seed=hyper.seed)
+    m, m_p = np.hstack(res.centers.centers), np.hstack(res_p.centers.centers)
+    relabel = np.array([np.argmin(((m_p - row) ** 2).sum(axis=1)) for row in m])
+    assert sorted(relabel.tolist()) == list(range(hyper.k))
+    scale = max(1.0, np.abs(m).max())
+    np.testing.assert_allclose(m_p[relabel], m, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_array_equal(
+        relabel[res.assignment.hard_labels[perm]], res_p.assignment.hard_labels
+    )
+    np.testing.assert_array_equal(res_p.assignment.entries[:, relabel], res.assignment.entries[perm])
+    assert len(res_p.objective_trace) == len(res.objective_trace)
     assert res_p.objective_trace[-1] == pytest.approx(res.objective_trace[-1], rel=1e-9, abs=0)
 
 

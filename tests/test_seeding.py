@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from orkmc._util import rng_for, select_initial_rows
 from orkmc.baselines import kmeans_fit
 from orkmc.datagen import SimSpec, generate
@@ -115,3 +116,39 @@ def test_duplicate_of_a_chosen_row_waits_for_every_distinct_row():
         idx = select_initial_rows(x, x.shape[0], case, "dup")
         for m in range(1, x.shape[0] + 1):
             assert len(np.unique(x[idx[:m]], axis=0)) == min(m, n_distinct), (case, m)
+
+
+def tie_heavy(rng, case):
+    """Rows whose content order and candidate cut are easy to get wrong:
+    ties in the last column, exact duplicate rows, +0.0 against -0.0, or
+    continuous rows; n is often below the candidate count."""
+    n, j = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+    kind = case % 5
+    if kind == 0:
+        return rng.integers(0, 3, size=(n, j)).astype(float)
+    if kind == 1:
+        return np.round(rng.normal(size=(n, j)), 1)
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1.0], size=(n, j))
+    x = rng.normal(size=(n, j))
+    if kind == 3:
+        x[:, -1] = np.round(x[:, -1])
+    return x
+
+
+def test_selection_matches_the_full_sort_reference():
+    rng = np.random.default_rng(4)
+    cases = [np.ones((6, 2)), np.ones((1, 3)), np.array([[0.0], [-0.0], [0.0]])]
+    cases += [tie_heavy(rng, case) for case in range(400)]
+    for case, x in enumerate(cases):
+        n = x.shape[0]
+        for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+            want = oracles.select_initial_rows_full_sort(x, k, case, "ref")
+            np.testing.assert_array_equal(select_initial_rows(x, k, case, "ref"), want,
+                                          err_msg=f"case {case}, k {k}")
+    # Many rows, half of them duplicated, with the last column in a few values.
+    x = rng.normal(size=(3000, 6))
+    x[:, -1] = np.round(x[:, -1])
+    x[1500:] = x[:1500]
+    np.testing.assert_array_equal(select_initial_rows(x, 10, 0, "ref"),
+                                  oracles.select_initial_rows_full_sort(x, 10, 0, "ref"))
