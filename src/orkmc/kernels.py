@@ -33,10 +33,10 @@ has exactly one implementation here:
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
   for one or many right-hand sides, in Gram form through ``_active_set``.
 * :func:`sq_dists` -- squared Euclidean distances from rows to centers.  The
-  cross term is numpy's own ``einsum`` loop, never a BLAS gemm: a threaded
-  gemm leaves an OpenBLAS worker spinning after every call, which cost a
-  100-iteration Lloyd fit on 10 000 x 20 rows 0.8 s of CPU on other threads.
-  The einsum is about 0.9 ms slower per call at 10 000 x 20 x 10.
+  cross term is numpy's own ``einsum`` loop, never a BLAS gemm: the threaded
+  gemm left an OpenBLAS worker spinning after every call, 0.7-0.8 s of CPU
+  on other threads over a 100-iteration Lloyd fit on 10 000 x 20 rows.  The
+  einsum costs about 0.7 ms more per call at 10 000 x 20 x 10.
 * :func:`cluster_means` -- per-cluster means of the rows with each hard label.
 * :func:`one_hot` -- the one-hot assignment matrix of hard labels.
 * :func:`data_nonneg` -- the rule that centers are kept nonnegative exactly
@@ -414,8 +414,8 @@ def sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     The cross term ``x centers'`` is taken by ``np.einsum``, which never calls
     BLAS.  OpenBLAS threads the gemm at Lloyd's sizes, and its worker thread
-    then spins for far longer than the product takes; the einsum costs 1.1
-    instead of 0.2 ms of wall per call at 10 000 x 20 x 10, and no CPU on
+    then spins for far longer than the product takes.  The einsum takes
+    about 0.9 instead of 0.2 ms of wall at 10 000 x 20 x 10, and no CPU on
     other threads.
     """
     d = (
