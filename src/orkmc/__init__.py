@@ -16,7 +16,7 @@ Public surface:
 from .baselines import kmeans_fit, ogd_fit, omu_fit, pkmeans_fit
 from .datagen import ScenarioPreset, SimSpec, add_shuffled_noise_view, generate, preset
 from .dataio import DatasetManifest, load, load_qcm, load_result, save_dataset, save_result
-from .kernels import RowQP, nnls, project_simplex, solve_row_qp
+from .kernels import nnls, project_simplex
 from .metrics import ContingencyTable, index, nmi, pair_scores, purity
 from .model import (
     AssignmentMatrix,
@@ -43,7 +43,6 @@ __all__ = [
     "MultiViewDataset",
     "OnlineState",
     "RkmcConfig",
-    "RowQP",
     "ScenarioPreset",
     "SimSpec",
     "add_shuffled_noise_view",
@@ -70,7 +69,6 @@ __all__ = [
     "rkmc_fit",
     "save_dataset",
     "save_result",
-    "solve_row_qp",
     "update_M",
     "update_U",
     "validate",

@@ -17,10 +17,6 @@ class ConfigError(OrkmcError):
     """Hyperparameters or solver configuration are out of their valid range."""
 
 
-class NumericalError(OrkmcError):
-    """A numerical precondition failed (e.g. a Hessian that is not positive definite)."""
-
-
 class ParseError(OrkmcError):
     """A data file could not be parsed; the message carries file/row/column context."""
 

@@ -24,12 +24,15 @@ has exactly one implementation here:
   It stops at the KKT point of every row, after a few rounds.  In each round
   the rows free in every coordinate share one factorization of the base
   (K+1) x (K+1) KKT matrix, and the other rows are solved as one stack of
-  their own KKT matrices; singular systems take a flagged ridge fallback.
-* :func:`solve_row_qp` -- minimizer of one row QP over the simplex.
+  their own KKT matrices.
 * :func:`solve_ridge_normal` -- Cholesky solve of symmetric PSD normal
-  equations, with a flagged ridge fallback when they are singular.
-* ``_ridge_solve`` -- the one ridge rule of both fallbacks: ``RIDGE_DELTA`` on
-  the diagonal, then one refinement step against the unregularized system.
+  equations.
+* ``_singular`` -- the one singularity rule of both solvers, a rank test
+  decided once per call before anything is factored.  A singular call solves
+  every system by ``_ridge_solve`` and warns :class:`RidgeFallbackWarning`
+  once; a regular call solves them exactly.
+* ``_ridge_solve`` -- the one ridge rule: ``RIDGE_DELTA`` on the diagonal,
+  then one refinement step against the unregularized system.
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
   for one or many right-hand sides, in Gram form through ``_active_set``.
 * :func:`sq_dists` -- squared Euclidean distances from rows to centers.  The
@@ -51,18 +54,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import (
-    ConvergenceWarning,
-    DimensionError,
-    NumericalError,
-    RidgeFallbackWarning,
-    ValidationError,
-)
+from .errors import ConvergenceWarning, DimensionError, RidgeFallbackWarning, ValidationError
 
 RIDGE_DELTA = 1e-10
 # Default multiplier tolerance of the exact solvers' KKT conditions.
@@ -147,39 +142,6 @@ def pg_step(h: np.ndarray) -> float:
     return 1.0 / max(lmax * (1.0 + 1e-12), np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class RowQP:
-    """Quadratic-minimization data for one assignment row.
-
-    ``h`` is the K x K symmetric positive-definite Hessian
-    (``2 * (sum_v w_v M_v M_v' + eta I)``) and ``c`` the linear term built
-    from the data row.
-    """
-
-    h: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64).ravel()
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionError(f"H must be square, got shape {h.shape}")
-        if c.shape[0] != h.shape[0]:
-            raise DimensionError(
-                f"c has length {c.shape[0]}, H is {h.shape[0]} x {h.shape[0]}"
-            )
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-            raise ValidationError("RowQP inputs must be finite")
-        if np.max(np.abs(h - h.T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
-            raise ValidationError("H must be symmetric")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def k(self) -> int:
-        return self.h.shape[0]
-
-
 def _pgd_rows(u0: np.ndarray, h: np.ndarray, c: np.ndarray, step: float, sweeps: int) -> tuple:
     """``sweeps`` projected-gradient sweeps on the rows of ``u0`` (1-D: one
     row); each row descends ``1/2 u' H u - c_i' u`` over the simplex.
@@ -210,35 +172,43 @@ def _ridge_solve(a: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
+def _singular(a: np.ndarray, simplex: bool) -> bool:
+    """Whether ``min 1/2 x' A x - b' x`` (subject to ``sum(x) = 1`` when
+    ``simplex``) fails to be strictly convex to rounding, for symmetric PSD
+    ``A``: the smallest eigenvalue of ``A``, or on the simplex of ``Z' A Z``
+    for an orthonormal basis ``Z`` of ``{v : sum(v) = 0}``, is at most
+    ``K eps ||A||_F``.
+
+    When it is not, every system built from ``A`` is nonsingular: each
+    principal submatrix of a PD ``A``, and each face's KKT matrix when
+    ``Z' A Z`` is PD.  On the simplex ``A`` itself may be singular (eta = 0,
+    ``m_2 = 2 m_1``) while every KKT matrix is regular, hence the projection.
+    The bound scales with ``A``, never with the projection, which is 1 x 1 at
+    K = 2.
+
+    ``Z`` is columns 2..K of the Householder reflector that maps ``e_1`` to
+    ``-1/sqrt(K)``, in closed form: columns 2..K of the identity minus
+    ``w 1'``, with ``w = (1/sqrt(K), q, ..., q)`` and ``q = 1/(K + sqrt(K))``.
+    """
+    k = a.shape[0]
+    a_eff = a
+    if simplex:
+        w = np.full(k, 1.0 / (k + math.sqrt(k)))
+        w[0] = 1.0 / math.sqrt(k)
+        z = np.eye(k, k - 1, -1) - w[:, None]
+        a_eff = z.T @ a @ z
+    lam = np.linalg.eigvalsh(a_eff)
+    return lam.size > 0 and lam[0] <= k * np.finfo(float).eps * np.linalg.norm(a)
+
+
+def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int, ridge: bool) -> np.ndarray:
     """Solve the KKT systems of the rows of ``rhs``: ``kkt`` is one matrix
     that every row shares (one factorization, all rows as right-hand sides)
-    or a stack with one matrix per row.  Singular systems take the ridge
-    fallback (:func:`_ridge_solve` on the ``A`` block) with a warning.
-
-    The LU behind ``np.linalg.solve`` notices only an exactly zero pivot; a
-    singular matrix whose rounding leaves a tiny pivot gives huge finite
-    solutions and no fallback.
-    """
-    shared = kkt.ndim == 2
-
-    def solve(fn, mats, r):
-        return fn(mats, r.T).T if shared else fn(mats, r[..., None])[..., 0]
-
-    try:
-        z = solve(np.linalg.solve, kkt, rhs)
-        bad = ~np.isfinite(z).all(axis=1)
-    except np.linalg.LinAlgError:
-        z = np.empty_like(rhs)
-        bad = np.ones(rhs.shape[0], dtype=bool)
-    if bad.any():
-        warnings.warn(
-            f"singular KKT system; applying ridge fallback (delta={RIDGE_DELTA})",
-            RidgeFallbackWarning,
-            stacklevel=3,
-        )
-        z[bad] = solve(partial(_ridge_solve, k=k), kkt if shared else kkt[bad], rhs[bad])
-    return z
+    or a stack with one matrix per row; ``ridge`` selects :func:`_ridge_solve`
+    on the ``A`` block over ``np.linalg.solve``."""
+    r = rhs.T if kkt.ndim == 2 else rhs[..., None]
+    z = _ridge_solve(kkt, r, k) if ridge else np.linalg.solve(kkt, r)
+    return z.T if kkt.ndim == 2 else z[..., 0]
 
 
 def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol: float) -> np.ndarray:
@@ -261,12 +231,18 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
     its face optimum frees its most negative multiplier, or stops once every
     multiplier is at least ``-tol`` (widened to the rounding level of the
     data).  Every round is a descent step, so no row ends above its start.
-    Singular systems (duplicate centers at eta = 0, identical Gram columns)
-    take the ``RIDGE_DELTA`` fallback and warn :class:`RidgeFallbackWarning`,
-    the shared base system included, as far as the LU sees the singularity
-    (see :func:`_solve_kkt`).
+    When :func:`_singular` finds ``A`` singular (duplicate centers at eta = 0,
+    identical Gram columns), every system of the call takes the ridge rule
+    and one :class:`RidgeFallbackWarning` is emitted.
     """
     n, k = b.shape
+    ridge = _singular(a, simplex)
+    if ridge:
+        warnings.warn(
+            f"singular QP; applying ridge fallback (delta={RIDGE_DELTA})",
+            RidgeFallbackWarning,
+            stacklevel=2,
+        )
     x = np.array(x0, dtype=np.float64)
     free = x > 0
     d = k + 1 if simplex else k
@@ -290,7 +266,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
         part = ~full
         z = np.empty_like(rhs)
         if full.any():
-            z[full] = _solve_kkt(base, rhs[full], k)
+            z[full] = _solve_kkt(base, rhs[full], k, ridge)
         if part.any():
             fp = f[part]
             fm = np.ones((fp.shape[0], d))
@@ -299,7 +275,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
             kkt *= base
             # A fixed coordinate's row and column are zero but for a unit diagonal.
             kkt.reshape(fp.shape[0], -1)[:, : k * (d + 1) : d + 1] += ~fp
-            z[part] = _solve_kkt(kkt, rhs[part], k)
+            z[part] = _solve_kkt(kkt, rhs[part], k, ridge)
         zx = np.where(f, z[:, :k], 0.0)
 
         # Rows that leave the orthant: step back to the first blocking coordinate.
@@ -342,42 +318,20 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
     return x
 
 
-def solve_row_qp(qp: RowQP, u0, tol: float = KKT_TOL) -> np.ndarray:
-    """Minimize ``1/2 u' H u - c' u`` over the probability simplex.
-
-    ``u0`` must lie on the simplex; the active-set solve starts from its
-    support and stops at a KKT point whose multipliers are at least ``-tol``,
-    so the objective never increases relative to ``u0``.  Raises
-    :class:`NumericalError` when ``H`` is not positive definite.
-    """
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    try:
-        np.linalg.cholesky(qp.h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("row QP Hessian is not positive definite") from exc
-    start = np.asarray(u0, dtype=np.float64).ravel()
-    if start.shape[0] != qp.k:
-        raise DimensionError(f"u0 has length {start.shape[0]}, expected {qp.k}")
-    if np.any(start < -1e-9) or abs(float(start.sum()) - 1.0) > 1e-6:
-        raise ValidationError("u0 must lie on the probability simplex")
-    return _active_set(qp.h, qp.c[None], _project(start)[None], True, tol)[0]
-
-
 def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``G x = rhs`` for symmetric PSD ``G`` by Cholesky; when ``G`` is
-    singular, take the ridge fallback (:func:`_ridge_solve`) with a warning."""
-    try:
-        cf = np.linalg.cholesky(g)
-        y = np.linalg.solve(cf, rhs)
-        return np.linalg.solve(cf.T, y)
-    except np.linalg.LinAlgError:
+    """Solve ``G x = rhs`` for symmetric PSD ``G`` by Cholesky.  When
+    :func:`_singular` finds ``G`` singular, the solve takes the ridge rule
+    (:func:`_ridge_solve`) instead and warns :class:`RidgeFallbackWarning`."""
+    if _singular(g, False):
         warnings.warn(
             f"singular normal equations; applying ridge fallback (delta={RIDGE_DELTA})",
             RidgeFallbackWarning,
             stacklevel=2,
         )
         return _ridge_solve(g, rhs, g.shape[0])
+    cf = np.linalg.cholesky(g)
+    y = np.linalg.solve(cf, rhs)
+    return np.linalg.solve(cf.T, y)
 
 
 def nnls(a, b, tol: float = KKT_TOL, start=None) -> np.ndarray:
@@ -387,9 +341,10 @@ def nnls(a, b, tol: float = KKT_TOL, start=None) -> np.ndarray:
     All columns share the Gram matrix ``A'A`` and are solved together by the
     batched active-set kernel, warm-started from ``start`` (same shape as the
     result, nonnegative; zeros by default).  At the solution ``m >= 0``,
-    ``g = A'(A m - b) >= -tol`` and ``g = 0`` wherever ``m > 0``.  A singular
-    system on the support falls back to a ridge-regularized one
-    (``RIDGE_DELTA``) and emits :class:`RidgeFallbackWarning`.
+    ``g = A'(A m - b) >= -tol`` and ``g = 0`` wherever ``m > 0``.  When
+    ``_singular`` finds ``A'A`` singular (identical columns of ``A``), every
+    system of the call takes the ``RIDGE_DELTA`` rule and one
+    :class:`RidgeFallbackWarning` is emitted.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -14,8 +14,10 @@ shared Gram matrix ``U_live' U_live``, so every view's columns are solved
 together: one Cholesky of the normal equations for mixed-sign data, or, when
 the data is nonnegative, one batched NNLS warm-started from the previous
 centers.  Both half-steps are monotone, so the objective trace never
-increases outside of logged center re-seed events; singular systems take a
-flagged ridge fallback.
+increases outside of logged center re-seed events.  Each solve decides once,
+by a rank test on its Hessian or Gram matrix (``kernels._singular``), whether
+its systems are singular; a singular one takes the ridge rule and warns
+``RidgeFallbackWarning`` once.
 """
 
 from __future__ import annotations
@@ -130,10 +132,10 @@ def update_M(
     per call) the centers are kept nonnegative: one
     :func:`~orkmc.kernels.nnls` call solves every column exactly,
     warm-started from ``prev``.  Otherwise the normal equations are solved
-    with one Cholesky factorization, with a ridge fallback.  The returned
-    centers record which rule applied in ``nonneg_enforced``.  Clusters
-    whose soft mass vanished keep their previous centers and a
-    :class:`DegenerateClusterWarning` is emitted.
+    with one Cholesky factorization, or by the ridge rule when the rank test
+    finds them singular.  The returned centers record which rule applied in
+    ``nonneg_enforced``.  Clusters whose soft mass vanished keep their
+    previous centers and a :class:`DegenerateClusterWarning` is emitted.
     """
     uu = u.entries
     k = uu.shape[1]

@@ -25,11 +25,9 @@ from orkmc import (
     HyperParams,
     MultiViewDataset,
     RkmcConfig,
-    RowQP,
     nnls,
     project_simplex,
     rkmc_fit,
-    solve_row_qp,
 )
 from orkmc.baselines import (
     kmeans_fit,
@@ -43,7 +41,8 @@ from orkmc.baselines import (
 from orkmc.cli import main as cli_main
 from orkmc.dataio import load_qcm, load_result, save_dataset
 from orkmc.datagen import SimSpec, add_shuffled_noise_view, generate, preset
-from orkmc.errors import ConvergenceWarning
+from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
+from orkmc.kernels import _active_set
 from orkmc.metrics import nmi, pair_scores, purity
 from orkmc.model import CenterSet
 from orkmc.offline import update_M, update_U
@@ -138,7 +137,7 @@ def test_c03_rkmc_monotonicity():
     with Criterion("C3 RKMC monotonicity", 30.0) as crit:
         rng = np.random.default_rng(103)
         etas = (0.0, 0.5, 5.0)
-        checked = 0
+        checked = ridged = 0
         for i in range(50):
             n = int(rng.integers(8, 61))
             k = int(rng.integers(2, 5))
@@ -148,9 +147,11 @@ def test_c03_rkmc_monotonicity():
             )
             data = MultiViewDataset(views=views)
             hyper = HyperParams(k=k, eta=etas[i % 3], max_iter=20, seed=i)
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("error", ConvergenceWarning)
+                warnings.simplefilter("always", RidgeFallbackWarning)
                 res = rkmc_fit(data, RkmcConfig(hyper=hyper))
+            ridged += any(w.category is RidgeFallbackWarning for w in caught)
             skip = set(res.metadata["reseed_steps"])
             trace = res.objective_trace
             for t in range(1, len(trace)):
@@ -158,7 +159,10 @@ def test_c03_rkmc_monotonicity():
                     continue
                 assert trace[t] <= trace[t - 1] + 1e-9, (i, t)
                 checked += 1
-        crit.detail = f"50 fits, {checked} consecutive-step comparisons, reseeds excluded"
+        crit.detail = (
+            f"50 fits ({ridged} took the ridge rule), {checked} consecutive-step "
+            "comparisons, reseeds excluded"
+        )
 
 
 def test_c04_lloyd_reduction():
@@ -227,7 +231,7 @@ def test_c08_kernel_oracles():
             b = rng.normal(size=(k, k))
             h = b @ b.T + 2.0 * float(rng.uniform(0.05, 2.0)) * np.eye(k)
             c = rng.normal(size=k) * 2
-            u = solve_row_qp(RowQP(h, c), np.full(k, 1.0 / k), tol=1e-12)
+            u = _active_set(h, c[None], np.full((1, k), 1.0 / k), True, 1e-12)[0]
             _, val_ref = oracles.row_qp_enum(h, c)
             assert 0.5 * u @ h @ u - c @ u == pytest.approx(val_ref, abs=1e-8)
         for _ in range(500):

@@ -1,7 +1,9 @@
 """The package's public names."""
 
+import pytest
+
 import orkmc
-from orkmc import model
+from orkmc import errors, kernels, model
 
 
 def test_every_public_name_resolves():
@@ -15,7 +17,8 @@ def test_star_import_gives_exactly_the_public_names():
     assert set(namespace) - {"__builtins__"} == set(orkmc.__all__)
 
 
-def test_view_weights_wrapper_is_gone():
-    assert "ViewWeights" not in orkmc.__all__
-    assert not hasattr(orkmc, "ViewWeights")
-    assert not hasattr(model, "ViewWeights")
+@pytest.mark.parametrize("name", ["ViewWeights", "RowQP", "solve_row_qp", "NumericalError"])
+def test_removed_names_stay_gone(name):
+    assert name not in orkmc.__all__
+    for module in (orkmc, model, kernels, errors):
+        assert not hasattr(module, name), module.__name__

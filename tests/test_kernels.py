@@ -1,15 +1,16 @@
 """Simplex projection, row QP and NNLS against enumeration oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from orkmc.errors import NumericalError, RidgeFallbackWarning, ValidationError
+from orkmc.errors import RidgeFallbackWarning, ValidationError
 from orkmc.kernels import (
     KKT_TOL,
-    RowQP,
     _active_set,
     _project,
     _solve_kkt,
@@ -17,7 +18,6 @@ from orkmc.kernels import (
     nnls,
     project_simplex,
     solve_ridge_normal,
-    solve_row_qp,
 )
 
 
@@ -26,7 +26,12 @@ def random_pd_qp(rng, k):
     eta = float(rng.uniform(0.05, 2.0))
     h = b @ b.T + 2.0 * eta * np.eye(k)
     c = rng.normal(size=k) * rng.uniform(0.5, 3.0)
-    return RowQP(h, c)
+    return h, c
+
+
+def solve_row(h, c, u0, tol=KKT_TOL):
+    """One row QP ``min 1/2 u'Hu - c'u`` over the simplex, from ``u0``."""
+    return _active_set(h, c[None], u0[None], True, tol)[0]
 
 
 class TestProjectSimplex:
@@ -117,47 +122,40 @@ def test_one_row_projection_matches_the_batch_branch(y):
 
 class TestSolveRowQP:
     def test_feasible_vertex_optimum(self):
-        qp = RowQP(2.0 * np.eye(3), 2.0 * np.array([1.0, 0.0, 0.0]))
-        u = solve_row_qp(qp, np.full(3, 1 / 3))
+        u = solve_row(2.0 * np.eye(3), 2.0 * np.array([1.0, 0.0, 0.0]), np.full(3, 1 / 3))
         np.testing.assert_allclose(u, [1.0, 0.0, 0.0], atol=1e-9)
 
     def test_symmetric_uniform(self):
-        qp = RowQP(2.0 * np.eye(3), np.zeros(3))
-        u = solve_row_qp(qp, np.array([0.7, 0.2, 0.1]))
+        u = solve_row(2.0 * np.eye(3), np.zeros(3), np.array([0.7, 0.2, 0.1]))
         np.testing.assert_allclose(u, np.full(3, 1 / 3), atol=1e-9)
-
-    def test_non_pd_raises(self):
-        h = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(NumericalError):
-            solve_row_qp(RowQP(h, np.zeros(2)), np.array([0.5, 0.5]))
 
     def test_matches_active_set_enumeration(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            qp = random_pd_qp(rng, 3)
-            u = solve_row_qp(qp, np.full(3, 1 / 3), tol=1e-12)
-            u_ref, val_ref = oracles.row_qp_enum(qp.h, qp.c)
-            val = 0.5 * u @ qp.h @ u - qp.c @ u
+            h, c = random_pd_qp(rng, 3)
+            u = solve_row(h, c, np.full(3, 1 / 3), tol=1e-12)
+            u_ref, val_ref = oracles.row_qp_enum(h, c)
+            val = 0.5 * u @ h @ u - c @ u
             assert val == pytest.approx(val_ref, abs=1e-8)
             np.testing.assert_allclose(u, u_ref, atol=1e-6)
 
     def test_objective_not_above_random_feasible_points(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            qp = random_pd_qp(rng, 4)
-            u = solve_row_qp(qp, np.full(4, 0.25), tol=1e-11)
-            val = 0.5 * u @ qp.h @ u - qp.c @ u
+            h, c = random_pd_qp(rng, 4)
+            u = solve_row(h, c, np.full(4, 0.25), tol=1e-11)
+            val = 0.5 * u @ h @ u - c @ u
             pts = rng.dirichlet(np.ones(4), size=100)
-            vals = 0.5 * np.einsum("ij,jk,ik->i", pts, qp.h, pts) - pts @ qp.c
+            vals = 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts) - pts @ c
             assert val <= vals.min() + 1e-9
 
     def test_objective_never_increases_from_start(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            qp = random_pd_qp(rng, 3)
+            h, c = random_pd_qp(rng, 3)
             u0 = rng.dirichlet(np.ones(3))
-            u = solve_row_qp(qp, u0, tol=1e-10)
-            f = lambda v: 0.5 * v @ qp.h @ v - qp.c @ v
+            u = solve_row(h, c, u0, tol=1e-10)
+            f = lambda v: 0.5 * v @ h @ v - c @ v
             assert f(u) <= f(u0) + 1e-12
 
 
@@ -171,17 +169,56 @@ class TestRidgeFallback:
     def test_singular_kkt_stack_is_solved_without_ridge_bias(self):
         kkt = np.array([[[4.0, 4.0], [4.0, 4.0]], [[2.0, 0.0], [0.0, 3.0]]])
         rhs = np.array([[2.0, 2.0], [2.0, 3.0]])  # the singular system is consistent
-        with pytest.warns(RidgeFallbackWarning):
-            z = _solve_kkt(kkt, rhs, 2)
+        z = _solve_kkt(kkt, rhs, 2, True)
         np.testing.assert_allclose(np.einsum("nij,nj->ni", kkt, z), rhs, rtol=0, atol=1e-14)
-
 
     def test_singular_shared_kkt_is_solved_for_every_row(self):
         kkt = np.array([[4.0, 4.0], [4.0, 4.0]])
         rhs = np.array([[2.0, 2.0], [1.0, 1.0]])  # consistent right-hand sides
-        with pytest.warns(RidgeFallbackWarning):
-            z = _solve_kkt(kkt, rhs, 2)
+        z = _solve_kkt(kkt, rhs, 2, True)
         np.testing.assert_allclose(z @ kkt.T, rhs, rtol=0, atol=1e-14)
+
+    def test_regular_ill_conditioned_problems_take_the_exact_path(self):
+        # Condition number 1e12 lies far above the rank test's K eps cut: no
+        # fallback, and the very bits of a plain LU or Cholesky solve.
+        rng = np.random.default_rng(31)
+        k = 6
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        a = (q * np.logspace(0, -12, k)) @ q.T
+        a = (a + a.T) / 2.0
+        assert np.linalg.cond(a) == pytest.approx(1e12, rel=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rhs = rng.normal(size=(k, 3))
+            cf = np.linalg.cholesky(a)
+            np.testing.assert_array_equal(
+                solve_ridge_normal(a, rhs), np.linalg.solve(cf.T, np.linalg.solve(cf, rhs))
+            )
+            # Optima inside the orthant and the simplex: one full-support round.
+            b = a @ rng.uniform(1.0, 2.0, size=k)
+            want = np.linalg.solve(a, b[:, None])[:, 0]
+            assert np.all(want > 0.0)
+            x = _active_set(a, b[None], np.ones((1, k)), False, KKT_TOL)[0]
+            np.testing.assert_array_equal(x, want)
+            u = rng.uniform(0.5, 1.5, size=k)
+            c = a @ (u / u.sum()) + 0.3
+            kkt = np.block([[a, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+            want = np.linalg.solve(kkt, np.append(c, 1.0)[:, None])[:k, 0]
+            assert np.all(want > 0.0)
+            np.testing.assert_array_equal(solve_row(a, c, np.full(k, 1.0 / k)), want / want.sum())
+
+    def test_singular_hessian_with_regular_kkt_takes_the_exact_path(self):
+        # eta = 0 and m_2 = 2 m_1: H has rank one, but it is positive definite
+        # on sum(u) = 0, so every KKT matrix is regular and no ridge is taken.
+        m = np.array([[1.0, -0.5], [2.0, -1.0]])
+        x = np.array([[1.4, -0.8], [0.3, 0.1], [2.5, -1.2]])
+        h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
+        assert np.linalg.matrix_rank(h) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _active_set(h, c, np.full((3, 2), 0.5), True, KKT_TOL)
+        for row, ci in zip(u, c):
+            assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-12
 
     def test_singular_base_warns_for_full_support_rows(self):
         # eta = 0 and two equal centers: the base KKT matrix, which every row

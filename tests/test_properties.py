@@ -1,7 +1,8 @@
 """Property tests: the exact half-steps meet their KKT conditions and agree
-with the stacked-only reference kernel, RKMC and Lloyd fits are equivariant
-under row permutations, and the streaming solver keeps nonnegative centers
-nonnegative.
+with the stacked-only reference kernel, every singular problem takes the
+ridge rule once, RKMC and Lloyd fits and the ORKMC warm start are
+equivariant under row permutations, and the streaming solver keeps
+nonnegative centers nonnegative.
 
 The enumeration oracles stop at K = 3 or so; these draw K up to 17, eta = 0
 with duplicate centers, identical Gram columns, 1-D and 2-D right-hand sides
@@ -12,6 +13,7 @@ the suite gives the same verdict on every run.
 """
 
 import copy
+import itertools
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 import oracles
 from orkmc.baselines import kmeans_fit
 from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
-from orkmc.kernels import KKT_TOL, _active_set, assignment_qp, nnls
+from orkmc.kernels import KKT_TOL, _active_set, assignment_qp, nnls, solve_ridge_normal
 from orkmc.model import AssignmentMatrix, CenterSet, HyperParams, MultiViewDataset, validate
 from orkmc.offline import RkmcConfig, rkmc_fit, update_M, update_U
 from orkmc.online import orkmc_init, orkmc_run, orkmc_step
@@ -65,6 +67,7 @@ def centers_and_rows(draw):
     return m, x, eta, start
 
 
+@pytest.mark.filterwarnings("ignore::orkmc.errors.RidgeFallbackWarning")
 @PROPERTY
 @given(centers_and_rows())
 def test_simplex_kernel_meets_kkt(case):
@@ -76,6 +79,7 @@ def test_simplex_kernel_meets_kkt(case):
     assert np.all(f(u) <= f(start) + 1e-9 * max(1.0, np.abs(h).max(), np.abs(c).max()))
 
 
+@pytest.mark.filterwarnings("ignore::orkmc.errors.RidgeFallbackWarning")
 @PROPERTY
 @given(centers_and_rows())
 def test_update_u_rows_meet_kkt(case):
@@ -129,11 +133,9 @@ def split_problems(draw):
 def test_full_support_split_matches_the_stacked_kernel(case):
     # Rows at full support share one factorization of the base KKT matrix;
     # the stacked-only reference builds one matrix per row.  On a regular
-    # base both give the same rows to rounding.  On a singular base the
-    # minimizer need not be unique, so the rows are checked by their KKT
-    # conditions and objective; when the LU sees the base as singular, the
-    # full-support rows take the ridge fallback and warn (an LU that misses an
-    # exact singularity, through rounding, gives no warning).
+    # base both give the same rows to rounding, and no fallback is taken.  On
+    # a singular base the minimizer need not be unique, so the rows are
+    # checked by their KKT conditions and objective, and the call warns once.
     a, b, x0, simplex, singular = case
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
@@ -143,6 +145,7 @@ def test_full_support_split_matches_the_stacked_kernel(case):
         ref = oracles.active_set_stacked(a, b, x0, simplex, KKT_TOL)
     categories = [w.category for w in got]
     assert ConvergenceWarning not in categories
+    assert categories.count(RidgeFallbackWarning) == int(singular)
     assert np.isfinite(x).all()
     for row, bi in zip(x, b):
         cert = oracles.simplex_qp_kkt(a, bi, row) if simplex else oracles.nnls_kkt(a, bi, row)
@@ -156,16 +159,88 @@ def test_full_support_split_matches_the_stacked_kernel(case):
     f = lambda v: np.einsum("ij,jk,ik->i", v, a, v) / 2 - np.einsum("ij,ij->i", b, v)
     scale = max(1.0, np.abs(a).max(), np.abs(b).max()) * max(1.0, np.abs(ref).max()) ** 2
     np.testing.assert_allclose(f(x), f(ref), rtol=0, atol=1e-9 * scale)
-    d = a.shape[0] + simplex
-    base = np.zeros((d, d))
-    base[: a.shape[0], : a.shape[0]] = a
-    if simplex:
-        base[:-1, -1] = base[-1, :-1] = 1.0
-    try:
-        np.linalg.solve(base, np.ones(d))
-    except np.linalg.LinAlgError:
-        if np.all(x0 > 0.0, axis=1).any():
-            assert RidgeFallbackWarning in categories
+
+
+@st.composite
+def singular_problems(draw):
+    """A problem singular by construction, as ``(form, g, rhs, call)``.
+
+    ``call()`` solves it through the package and returns what is certified:
+    the rows of a simplex row QP or of an NNLS in Gram form (one per row of
+    ``rhs``), or the solution of the normal equations ``g x = rhs``.  The
+    constructions are duplicate centers at eta = 0 (row QPs), identical Gram
+    columns (NNLS), two identical live U columns beside a dead one
+    (``update_M`` by the normal equations or by NNLS), and the K = 2
+    rank-one ``a [[1, 1], [1, 1]]`` in each of the three solvers."""
+    kind = draw(st.sampled_from(["centers", "gram", "u-columns", "rank-one"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    if kind == "centers":
+        k = draw(st.integers(2, 12))
+        m = rng.normal(size=(k, draw(st.integers(1, k + 2)))) * 3
+        m[1 : draw(st.integers(1, k - 1)) + 1] = m[0]
+        h, c = assignment_qp((rng.normal(size=(n, m.shape[1])) * 3,), (m,), np.ones(1), 0.0)
+        start = _start(rng, draw(st.sampled_from(["vertex", "interior", "uniform"])), n, k)
+        return "simplex", h, c, lambda: _active_set(h, c, start, True, KKT_TOL)
+    if kind == "gram":
+        k = draw(st.integers(2, 12))
+        a = rng.normal(size=(draw(st.integers(1, k + 8)), k))
+        a[:, 1 : draw(st.integers(1, k - 1)) + 1] = a[:, :1]
+        b = rng.normal(size=(a.shape[0], draw(st.integers(1, 3)))) * 2
+        start = rng.uniform(0.0, 2.0, size=(k, b.shape[1]))
+        return "nnls", a.T @ a, (a.T @ b).T, lambda: nnls(a, b, start=start).T
+    if kind == "u-columns":
+        k = draw(st.integers(3, 8))
+        n = draw(st.integers(k, k + 20))
+        w = rng.dirichlet(np.ones(k - 2), size=n)
+        u = np.zeros((n, k))
+        u[:, 0] = u[:, 1] = w[:, 0] / 2.0  # halving is exact; column 2 is dead
+        u[:, 3:] = w[:, 1:]
+        x = rng.normal(size=(n, draw(st.integers(1, 5)))) * 3
+        nonneg = draw(st.booleans())
+        if nonneg:
+            x = np.abs(x)
+        data, prev = MultiViewDataset(views=(x,)), CenterSet((rng.normal(size=(k, x.shape[1])),))
+        live = u.sum(axis=0) > 0.0
+        ul = u[:, live]
+
+        def call():
+            return update_M(data, AssignmentMatrix(u), prev=prev).centers[0][live]
+
+        if nonneg:
+            return "nnls", ul.T @ ul, (ul.T @ x).T, lambda: call().T
+        return "normal", ul.T @ ul, ul.T @ x, call
+    a = draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.ones((2, 2))
+    b = rng.normal(size=(n, 2)) * 2
+    form = draw(st.sampled_from(["simplex", "nnls", "normal"]))
+    if form == "normal":
+        rhs = a @ b.T  # consistent
+        return form, a, rhs, lambda: solve_ridge_normal(a, rhs)
+    start = np.full((n, 2), 0.5)
+    return form, a, b, lambda: _active_set(a, b, start, form == "simplex", KKT_TOL)
+
+
+@PROPERTY
+@given(singular_problems())
+def test_singular_problems_warn_once_and_meet_kkt(case):
+    # The rank test decides once per call: every call on a singular problem
+    # takes the ridge rule, warns exactly once and returns a finite KKT point.
+    form, g, rhs, call = case
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        x = call()
+    categories = [w.category for w in got]
+    assert categories.count(RidgeFallbackWarning) == 1
+    assert ConvergenceWarning not in categories
+    assert np.isfinite(x).all()
+    if form == "simplex":
+        _assert_rows_kkt(g, rhs, x)
+    elif form == "nnls":
+        for row, bi in zip(x, rhs):
+            assert max(oracles.nnls_kkt(g, bi, row)) <= KKT
+    else:
+        scale = max(np.abs(g).max() * np.abs(x).max(), np.abs(rhs).max())
+        assert np.abs(g @ x - rhs).max() <= 1e-13 * scale
 
 
 @st.composite
@@ -187,6 +262,7 @@ def nnls_problems(draw):
     return a, b, start
 
 
+@pytest.mark.filterwarnings("ignore::orkmc.errors.RidgeFallbackWarning")
 @PROPERTY
 @given(nnls_problems())
 def test_nnls_meets_kkt(case):
@@ -214,6 +290,7 @@ def soft_assignments(draw):
     return u, x, prev
 
 
+@pytest.mark.filterwarnings("ignore::orkmc.errors.RidgeFallbackWarning")
 @PROPERTY
 @given(soft_assignments())
 def test_nonneg_update_m_columns_meet_kkt(case):
@@ -264,6 +341,31 @@ def test_rkmc_fit_is_row_permutation_equivariant(case):
         relabel[res.assignment.hard_labels[perm]], res_p.assignment.hard_labels
     )
     assert res_p.objective_trace[-1] == pytest.approx(res.objective_trace[-1], rel=1e-9, abs=0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(permuted_fits())
+def test_orkmc_init_is_row_permutation_equivariant(case):
+    # The warm start seeds at the same data points in any row order and
+    # assigns every row on its own, so permuting the prefix permutes the rows
+    # of U and leaves the centers and the label counts in place, up to a
+    # relabelling of the clusters.  Two clusters may end on one center, so
+    # the relabelling is searched over all K! candidates (K <= 4).
+    data, hyper, perm = case
+    state = orkmc_init(data, hyper)
+    state_p = orkmc_init(data.take_rows(perm), hyper)
+    m, m_p = np.hstack(state.centers.centers), np.hstack(state_p.centers.centers)
+    u, u_p = np.array(state.U_rows)[perm], np.array(state_p.U_rows)
+    atol = 1e-9 * max(1.0, np.abs(m).max())
+
+    def relabels(sigma):
+        return (
+            np.allclose(m_p[sigma], m, rtol=0, atol=atol)
+            and np.array_equal(state_p.counts[sigma], state.counts)
+            and np.allclose(u_p[:, sigma], u, rtol=0, atol=1e-9)
+        )
+
+    assert any(relabels(list(sigma)) for sigma in itertools.permutations(range(hyper.k)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
