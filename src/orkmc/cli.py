@@ -20,8 +20,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 
@@ -34,25 +34,8 @@ from .online import orkmc_run
 ALGORITHMS = ("rkmc", "orkmc", "kmeans", "pkmeans", "ogd", "omu")
 SINGLE_VIEW_ALGOS = ("pkmeans", "ogd")
 BENCH_HEADER = "dataset,algorithm,view,nmi,purity,fscore,elapsed_seconds,seed"
+BENCH_METRICS = ("nmi", "purity", "fscore")
 EVAL_METRICS = ("nmi", "purity", "precision", "recall", "fscore", "ri")
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    dataset: str
-    algorithm: str
-    view: str
-    nmi: str
-    purity: str
-    fscore: str
-    elapsed_seconds: str
-    seed: str
-
-    def line(self) -> str:
-        return ",".join(
-            (self.dataset, self.algorithm, self.view, self.nmi, self.purity,
-             self.fscore, self.elapsed_seconds, self.seed)
-        )
 
 
 def _data_dir() -> str:
@@ -201,122 +184,88 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fmt_metric(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.7f}"
-
-
-def _bench_rows(dataset_name, data, algo, view_label, hyper) -> BenchRow:
-    result = _run_algorithm(algo, data, hyper)
-    scores = _scores(result, data)
-    return BenchRow(
-        dataset=dataset_name,
-        algorithm=algo,
-        view=view_label,
-        nmi=_fmt_metric(None if scores is None else scores["nmi"]),
-        purity=_fmt_metric(None if scores is None else scores["purity"]),
-        fscore=_fmt_metric(None if scores is None else scores["fscore"]),
-        elapsed_seconds=f"{result.elapsed_seconds:.4f}",
-        seed=str(hyper.seed),
-    )
-
-
-def _bench_dataset(dataset_name, data, seed, k, eta, r, chushi, max_iter, gamma=None) -> list:
+def _bench_runs(name, data, seed, k, eta, chushi, max_iter, gamma=None) -> list:
+    """Fit the four multi-view algorithms on all of ``data``'s views, then
+    ``SINGLE_VIEW_ALGOS`` on each view, at r and epsilon's ``HyperParams``
+    defaults.  Returns one ``((name, algorithm, view), seed, scores, elapsed)``
+    tuple per fit, ``scores`` as from :func:`_scores`."""
     hyper = HyperParams(
-        k=k, eta=eta, r=r, gamma=gamma, epsilon=1e-4,
-        max_iter=max_iter, chushi=min(chushi, data.n_samples), seed=seed,
+        k=k, eta=eta, gamma=gamma, max_iter=max_iter,
+        chushi=min(chushi, data.n_samples), seed=seed,
     )
-    rows = []
-    for algo in ("rkmc", "orkmc", "kmeans", "omu"):
-        rows.append(_bench_rows(dataset_name, data, algo, "all", hyper))
+    fits = [(algo, "all", data) for algo in ("rkmc", "orkmc", "kmeans", "omu")]
     for v in range(data.n_views):
-        single = data.single_view(v)
-        for algo in SINGLE_VIEW_ALGOS:
-            rows.append(_bench_rows(dataset_name, single, algo, str(v + 1), hyper))
-    return rows
+        fits += [(algo, str(v + 1), data.single_view(v)) for algo in SINGLE_VIEW_ALGOS]
+    runs = []
+    for algo, view, fit_data in fits:
+        result = _run_algorithm(algo, fit_data, hyper)
+        runs.append(((name, algo, view), seed, _scores(result, fit_data), result.elapsed_seconds))
+    return runs
 
 
-def _median_rows(rows: list) -> list:
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault((row.dataset, row.algorithm, row.view), []).append(row)
-    out = []
-    for (dataset, algo, view), members in groups.items():
-        def med(values):
-            vals = [float(v) for v in values if v != ""]
-            return "" if not vals else f"{float(np.median(vals)):.7f}"
-
-        out.append(
-            BenchRow(
-                dataset=dataset,
-                algorithm=algo,
-                view=view,
-                nmi=med([m.nmi for m in members]),
-                purity=med([m.purity for m in members]),
-                fscore=med([m.fscore for m in members]),
-                elapsed_seconds="",
-                seed="median",
-            )
-        )
-    return out
+def _bench_lines(runs) -> list:
+    """Per (dataset, algorithm, view), in sorted order: one row per fit in
+    ascending seed order, then the median row.  Unscored cells are empty."""
+    lines = []
+    for key, group in groupby(sorted(runs, key=lambda run: run[:2]), key=lambda run: run[0]):
+        rows = [(scores, f"{elapsed:.4f}", str(seed)) for _, seed, scores, elapsed in group]
+        scored = [scores for scores, _, _ in rows if scores is not None]
+        # Medians of the 7-decimal cells, as printed: with an even seed count the
+        # median is a mean of two values.  round(v, 7) is the double nearest the
+        # correctly rounded decimal, as float(f"{v:.7f}") is.
+        median = {
+            m: float(np.median([round(s[m], 7) for s in scored])) for m in BENCH_METRICS
+        } if scored else None
+        rows.append((median, "", "median"))
+        for scores, elapsed, seed in rows:
+            cells = ("",) * 3 if scores is None else (f"{scores[m]:.7f}" for m in BENCH_METRICS)
+            lines.append(",".join((*key, *cells, elapsed, seed)))
+    return lines
 
 
-def _seed_sort_key(row: BenchRow):
-    try:
-        return (0, int(row.seed))
-    except ValueError:
-        return (1, 0)
+def _bench_suite(suite: str):
+    """``(dataset name, data for a seed, settings for _bench_runs)`` of a bench
+    suite, or None when the suite's data files are missing."""
+    if suite in ("case1-single", "case2-multi"):
+        scenario = datagen.preset(suite)
+        settings = dict(k=scenario.sim.k, eta=scenario.eta, chushi=scenario.chushi_for(),
+                        max_iter=100)
+        return suite, lambda seed: datagen.generate(replace(scenario.sim, seed=seed)), settings
+    if suite == "qcm":
+        paths = [os.path.join(_data_dir(), f) for f in ("QCM.csv", "qcm.csv")]
+        path = next((p for p in paths if os.path.exists(p)), None)
+        if path is None:
+            return None
+        data = dataio.load_qcm(path)
+        return "qcm", lambda seed: data, dict(k=5, eta=110.0, chushi=62, max_iter=100)
+    if suite == "movie":
+        path = os.path.join(_data_dir(), "movie.manifest.json")
+        if not os.path.exists(path):
+            return None
+        manifest = dataio.DatasetManifest.read(path)
+        data = dataio.load(manifest)
+        settings = dict(k=manifest.k_true or 17, eta=0.5, chushi=600, max_iter=10, gamma=1e-5)
+        return "movie", lambda seed: data, settings
+    raise UsageError(f"unknown suite {suite!r}")
 
 
 def cmd_bench(args) -> int:
-    rows: list[BenchRow] = []
-    skipped = False
-    if args.suite in ("case1-single", "case2-multi"):
-        scenario = datagen.preset(args.suite)
-        for seed in range(args.seeds):
-            data = datagen.generate(replace(scenario.sim, seed=seed))
-            rows += _bench_dataset(
-                args.suite, data, seed, k=scenario.sim.k, eta=scenario.eta,
-                r=0.5, chushi=scenario.chushi_for(), max_iter=100,
-            )
-    elif args.suite == "qcm":
-        path = None
-        for cand in ("QCM.csv", "qcm.csv"):
-            p = os.path.join(_data_dir(), cand)
-            if os.path.exists(p):
-                path = p
-                break
-        if path is None:
-            skipped = True
-        else:
-            data = dataio.load_qcm(path)
-            for seed in range(args.seeds):
-                rows += _bench_dataset(
-                    "qcm", data, seed, k=5, eta=110.0, r=0.5,
-                    chushi=62, max_iter=100,
-                )
-    elif args.suite == "movie":
-        p = os.path.join(_data_dir(), "movie.manifest.json")
-        if not os.path.exists(p):
-            skipped = True
-        else:
-            manifest = dataio.DatasetManifest.read(p)
-            data = dataio.load(manifest)
-            for seed in range(args.seeds):
-                rows += _bench_dataset(
-                    "movie", data, seed, k=manifest.k_true or 17, eta=0.5,
-                    r=0.5, chushi=600, max_iter=10, gamma=1e-5,
-                )
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}")
-
+    """Write ``args.suite``'s table over seeds 0..seeds-1 as a CSV with the
+    ``BENCH_HEADER`` columns: one row per fit, then a median row (seed
+    ``median``) per (dataset, algorithm, view), then a ``dmc,all,external``
+    row for the method scored outside the package.  When the qcm or movie
+    data files are missing, one ``SKIPPED`` row replaces them all."""
     lines = [BENCH_HEADER]
-    if skipped:
+    found = _bench_suite(args.suite)
+    if found is None:
         lines.append(f"{args.suite},ALL,all,SKIPPED,SKIPPED,SKIPPED,SKIPPED,")
         print(f"suite {args.suite}: dataset files not found under {_data_dir()!r}; SKIPPED")
     else:
-        rows = rows + _median_rows(rows)
-        rows.sort(key=lambda r: (r.dataset, r.algorithm, r.view, _seed_sort_key(r)))
-        lines += [r.line() for r in rows]
+        name, data_for_seed, settings = found
+        runs = []
+        for seed in range(args.seeds):
+            runs += _bench_runs(name, data_for_seed(seed), seed, **settings)
+        lines += _bench_lines(runs)
         lines.append(f"{args.suite},dmc,all,external,external,external,external,")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

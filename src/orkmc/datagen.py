@@ -18,6 +18,10 @@ from ._util import rng_for
 from .errors import ConfigError, UsageError
 from .model import MultiViewDataset
 
+# Width and mean spacing of the view add_shuffled_noise_view appends.
+NOISE_VIEW_J = 2
+NOISE_VIEW_SEPARATION = 1.0
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -96,31 +100,25 @@ def generate(spec: SimSpec) -> MultiViewDataset:
     )
 
 
-def add_shuffled_noise_view(
-    data: MultiViewDataset,
-    j: int = 2,
-    separation: float = 1.0,
-    sigma: Optional[float] = None,
-    seed: int = 0,
-) -> MultiViewDataset:
-    """Append a noise view: weak blob structure on a random permutation of the
+def add_shuffled_noise_view(data: MultiViewDataset, seed: int = 0) -> MultiViewDataset:
+    """Append a ``NOISE_VIEW_J``-column noise view: weak blob structure
+    (means ``NOISE_VIEW_SEPARATION`` apart) on a random permutation of the
     true labels, scale-matched to the existing views.
 
-    ``sigma=None`` matches the per-dimension RMS spread of the dataset, so the
-    new view is as wide as the real ones but carries no class information --
-    under any class-aligned clustering its residual stays high, which is what
-    the view-weight sanity checks rely on."""
+    Its noise matches the per-dimension RMS spread of the dataset (at least
+    1), so the new view is as wide as the real ones but carries no class
+    information -- under any class-aligned clustering its residual stays high,
+    which is what the view-weight sanity checks rely on."""
     if data.labels is None:
         raise ConfigError("a noise view needs ground-truth labels to shuffle")
     rng = rng_for(seed, "noise-view")
-    if sigma is None:
-        spread = np.concatenate([x.var(axis=0) for x in data.views])
-        sigma = float(np.sqrt(max(spread.mean(), 1.0)))
+    spread = np.concatenate([x.var(axis=0) for x in data.views])
+    sigma = float(np.sqrt(max(spread.mean(), 1.0)))
     perm = rng.permutation(np.asarray(data.labels))
     _, inverse = np.unique(perm, return_inverse=True)
     k = int(inverse.max()) + 1
-    mu = _chain_means(rng, k, j, separation)
-    noise_view = mu[inverse] + sigma * rng.standard_normal((data.n_samples, j))
+    mu = _chain_means(rng, k, NOISE_VIEW_J, NOISE_VIEW_SEPARATION)
+    noise_view = mu[inverse] + sigma * rng.standard_normal((data.n_samples, NOISE_VIEW_J))
     return MultiViewDataset(
         views=data.views + (noise_view,),
         labels=data.labels,

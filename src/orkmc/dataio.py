@@ -295,15 +295,15 @@ def load_result(path) -> dict:
         return json.load(fh)
 
 
-def save_dataset(data: MultiViewDataset, out_dir, delimiter: str = ",") -> str:
-    """Write one matrix file per view (plus labels when present) and a manifest;
-    returns the manifest path."""
+def save_dataset(data: MultiViewDataset, out_dir) -> str:
+    """Write one comma-separated matrix file per view (plus labels when
+    present) and a manifest; returns the manifest path."""
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     view_files = []
     for v, x in enumerate(data.views, start=1):
         fname = f"view_{v}.csv"
-        _write_matrix(os.path.join(out_dir, fname), x, delimiter)
+        _write_matrix(os.path.join(out_dir, fname), x)
         view_files.append(fname)
     label_file = None
     if data.labels is not None:
@@ -315,15 +315,14 @@ def save_dataset(data: MultiViewDataset, out_dir, delimiter: str = ",") -> str:
         name=data.name or os.path.basename(out_dir),
         view_files=tuple(view_files),
         label_file=label_file,
-        delimiter=delimiter,
     )
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest.write(manifest_path)
     return manifest_path
 
 
-def _write_matrix(path, m: np.ndarray, delimiter: str) -> None:
+def _write_matrix(path, m: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in m:
-            fh.write(delimiter.join(repr(float(v)) for v in row))
+            fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")

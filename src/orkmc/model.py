@@ -255,23 +255,27 @@ def fit_result(
     )
 
 
-def _conforming(data: MultiViewDataset, u, m) -> tuple:
-    """``(U, centers)`` as arrays, checked against ``data``'s shapes and for
-    finiteness."""
-    u = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
-    centers = m.centers if isinstance(m, CenterSet) else tuple(m)
+def _check_center_shapes(data: MultiViewDataset, centers, k: int) -> None:
+    """Raise :class:`DimensionError` unless ``centers`` holds one K x J_v
+    matrix per view of ``data``."""
     if len(centers) != data.n_views:
-        raise DimensionError(
-            f"{len(centers)} center matrices for {data.n_views} views"
-        )
-    n, k = u.shape
-    if n != data.n_samples:
-        raise DimensionError(f"assignment has {n} rows, dataset has {data.n_samples}")
+        raise DimensionError(f"{len(centers)} center matrices for {data.n_views} views")
     for v, m in enumerate(centers):
         if m.shape != (k, data.views[v].shape[1]):
             raise DimensionError(
                 f"center matrix {v} has shape {m.shape}, expected {(k, data.views[v].shape[1])}"
             )
+
+
+def _conforming(data: MultiViewDataset, u, m) -> tuple:
+    """``(U, centers)`` as arrays, checked against ``data``'s shapes and for
+    finiteness."""
+    u = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
+    centers = m.centers if isinstance(m, CenterSet) else tuple(m)
+    n, k = u.shape
+    if n != data.n_samples:
+        raise DimensionError(f"assignment has {n} rows, dataset has {data.n_samples}")
+    _check_center_shapes(data, centers, k)
     if not np.all(np.isfinite(u)):
         raise ValidationError("assignment matrix has non-finite entries")
     for v, m in enumerate(centers):
@@ -332,14 +336,18 @@ def objective_online(
     return total
 
 
-def _check_assignment(u: AssignmentMatrix, out: list) -> None:
-    entries = u.entries
+def _check_rows(entries: np.ndarray, out: list) -> None:
+    """Report every assignment row off the simplex."""
     for i, k in np.argwhere(entries < ROW_NONNEG_TOL):
         out.append(("row-nonneg", (int(i), int(k))))
     sums = entries.sum(axis=1)
     for i in np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL)):
         out.append(("row-sum", int(i)))
-    derived = hard_labels_of(entries)
+
+
+def _check_assignment(u: AssignmentMatrix, out: list) -> None:
+    _check_rows(u.entries, out)
+    derived = hard_labels_of(u.entries)
     for i in np.flatnonzero(derived != np.asarray(u.hard_labels)):
         out.append(("hard-labels", int(i)))
 
@@ -382,10 +390,7 @@ def validate(obj) -> list:
             out.append(("counts-nonneg", int(k)))
         _check_centers(obj.centers, out)
         _check_weights(obj.weights, out)
-        for i, row in enumerate(obj.U_rows):
-            row = np.asarray(row)
-            if not (np.all(row >= ROW_NONNEG_TOL) and abs(float(row.sum()) - 1.0) <= ROW_SUM_TOL):
-                out.append(("row-sum", int(i)))
+        _check_rows(np.asarray(obj.U_rows, dtype=np.float64).reshape(obj.t, obj.centers.k), out)
         return out
 
     _check_assignment(obj.assignment, out)

@@ -49,6 +49,7 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
+    _check_center_shapes,
     fit_result,
     objective_rkmc,
 )
@@ -226,12 +227,16 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
     Runs ``N_RESTARTS`` seeded initializations (a single run when explicit
     ``initial_centers`` are given) and keeps the one with the lowest final
     objective.  The returned trace is the kept run's per-iteration objective.
+    ``initial_centers`` must hold one K x J_v matrix per view
+    (``DimensionError`` otherwise).
     """
     hyper = cfg.hyper
     if hyper.k > data.n_samples:
         raise ConfigError(
             f"k={hyper.k} exceeds the number of samples ({data.n_samples})"
         )
+    if cfg.initial_centers is not None:
+        _check_center_shapes(data, cfg.initial_centers.centers, hyper.k)
     stacked = data.stacked()
     if np.all(stacked == stacked[0]):
         warnings.warn(

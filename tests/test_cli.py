@@ -310,3 +310,15 @@ class TestBench:
                 rows.append(",".join(cells))
             texts.append("\n".join(rows))
         assert texts[0] == texts[1]
+
+        groups: dict = {}
+        for line in texts[0].splitlines()[1:-1]:  # between the header and the dmc row
+            cells = line.split(",")
+            groups.setdefault(tuple(cells[:3]), []).append(cells)
+        assert len(groups) == 8
+        for rows in groups.values():
+            *fits, median = rows
+            assert median[7] == "median"  # the median row comes last
+            assert [int(f[7]) for f in fits] == [0, 1]  # seeds ascending
+            for col in (3, 4, 5):  # nmi, purity, fscore
+                assert median[col] == f"{np.median([float(f[col]) for f in fits]):.7f}"

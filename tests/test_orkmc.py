@@ -54,6 +54,9 @@ class TestInit:
         state = orkmc_init(MultiViewDataset(views=(x,)), HyperParams(k=3, chushi=20))
         state.U_rows[4] = np.array([np.nan, 0.5, 0.5])
         assert validate(state) == [("row-sum", 4)]
+        # A negative entry is reported as in a result, by entry.
+        state.U_rows[4] = np.array([-0.5, 1.0, 0.5])
+        assert validate(state) == [("row-nonneg", (4, 0))]
 
     def test_chushi_below_k_rejected(self):
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ import oracles
 from orkmc.errors import (
     ConfigError,
     DataWarning,
+    DimensionError,
     DegenerateClusterWarning,
     RidgeFallbackWarning,
 )
@@ -55,6 +56,23 @@ class TestRkmcFit:
         data = MultiViewDataset(views=(np.zeros((2, 1)),))
         with pytest.raises(ConfigError):
             rkmc_fit(data, RkmcConfig(hyper=HyperParams(k=5)))
+
+    def test_initial_centers_with_wrong_k_rejected(self):
+        data = MultiViewDataset(views=(np.arange(12.0).reshape(4, 3),))
+        centers = CenterSet((np.zeros((4, 3)),))
+        with pytest.raises(DimensionError, match="center matrix 0 has shape"):
+            rkmc_fit(data, RkmcConfig(hyper=HyperParams(k=3), initial_centers=centers))
+
+    def test_initial_centers_with_wrong_features_or_views_rejected(self):
+        x = np.arange(12.0).reshape(4, 3)
+        data = MultiViewDataset(views=(x, x[:, :2]))
+        cfg = lambda *centers: RkmcConfig(
+            hyper=HyperParams(k=2), initial_centers=CenterSet(centers)
+        )
+        with pytest.raises(DimensionError, match="center matrix 1 has shape"):
+            rkmc_fit(data, cfg(np.zeros((2, 3)), np.zeros((2, 3))))
+        with pytest.raises(DimensionError, match="1 center matrices for 2 views"):
+            rkmc_fit(data, cfg(np.zeros((2, 3))))
 
     def test_identical_rows_warn(self):
         data = MultiViewDataset(views=(np.ones((6, 2)),))
