@@ -12,6 +12,12 @@ Flags mirror the original interface (``--yita``, ``--chushi``) with English
 aliases (``--eta``, ``--init-size``).  Exit codes: 0 success, 1 runtime or
 data error, 2 usage error.  ``ORKM_DATA_DIR`` overrides the directory searched
 for the real datasets used by ``bench``.
+
+Run as ``orkmc`` or ``python -m orkmc.cli``, the process uses one OpenBLAS
+thread unless ``OPENBLAS_NUM_THREADS`` is already set: numpy's BLAS worker
+threads would spin at start-up for no gain (see :mod:`orkmc._entry`).  To give
+BLAS more threads, set the variable, e.g. ``OPENBLAS_NUM_THREADS=4 orkmc fit
+...``.  Calling :func:`main` from Python leaves the threading as it is.
 """
 
 from __future__ import annotations
@@ -22,6 +28,11 @@ import os
 import sys
 from dataclasses import replace
 from itertools import groupby
+
+if __name__ == "__main__":  # python -m orkmc.cli: the entry default, before numpy loads
+    from ._entry import default_blas_threads
+
+    default_blas_threads()
 
 import numpy as np
 
@@ -255,6 +266,8 @@ def cmd_bench(args) -> int:
     ``median``) per (dataset, algorithm, view), then a ``dmc,all,external``
     row for the method scored outside the package.  When the qcm or movie
     data files are missing, one ``SKIPPED`` row replaces them all."""
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     lines = [BENCH_HEADER]
     found = _bench_suite(args.suite)
     if found is None:
@@ -347,9 +360,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

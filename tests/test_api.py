@@ -1,5 +1,11 @@
 """The package's public names."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import orkmc
@@ -22,3 +28,49 @@ def test_removed_names_stay_gone(name):
     assert name not in orkmc.__all__
     for module in (orkmc, model, kernels, errors):
         assert not hasattr(module, name), module.__name__
+
+
+# Imports orkmc as a library would and reports what got loaded when.
+LIBRARY_IMPORT_PROBE = """
+import json, os, sys
+
+def solvers():
+    return sorted(m for m in ("orkmc.offline", "orkmc.online", "orkmc.baselines")
+                  if m in sys.modules)
+
+import orkmc
+report = {"after_import": solvers()}
+import orkmc.dataio
+report["after_dataio"] = solvers()
+orkmc.rkmc_fit
+report["after_rkmc_fit"] = solvers()
+namespace = {}
+exec("from orkmc import *", namespace)
+report["after_star"] = solvers()
+
+def at_home(name):
+    value = getattr(orkmc, name)
+    return namespace[name] is value and getattr(sys.modules[value.__module__], name) is value
+
+report["not_home_object"] = [name for name in orkmc.__all__ if not at_home(name)]
+report["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS")
+print(json.dumps(report))
+"""
+
+
+def test_library_import_loads_lazily_and_leaves_the_environment_alone():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(orkmc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", LIBRARY_IMPORT_PROBE], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["after_import"] == []
+    assert report["after_dataio"] == []
+    assert report["after_rkmc_fit"] == ["orkmc.offline"]
+    assert report["after_star"] == ["orkmc.baselines", "orkmc.offline", "orkmc.online"]
+    assert report["not_home_object"] == []
+    assert report["OPENBLAS_NUM_THREADS"] is None

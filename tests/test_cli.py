@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orkmc
 from orkmc.cli import main
 from orkmc.dataio import load_result, save_dataset
 from orkmc.datagen import SimSpec, generate
@@ -294,6 +298,20 @@ class TestBench:
         assert code == 0
         assert "SKIPPED" in out.read_text()
 
+    @pytest.mark.parametrize("suite", ["case2-multi", "qcm"])
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_is_usage_error(self, capsys, tmp_path, monkeypatch, suite, seeds):
+        # Without its data file qcm writes a SKIPPED table: the check comes first.
+        monkeypatch.setenv("ORKM_DATA_DIR", str(tmp_path / "nowhere"))
+        out = tmp_path / "bench.csv"
+        code, stdout, err = run_cli(
+            capsys, "bench", "--suite", suite, "--seeds", seeds, "--out", str(out)
+        )
+        assert code == 2
+        assert "--seeds" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_bench_reproducible_modulo_timing(self, capsys, tmp_path):
         texts = []
         for name in ("x.csv", "y.csv"):
@@ -322,3 +340,55 @@ class TestBench:
             assert [int(f[7]) for f in fits] == [0, 1]  # seeds ascending
             for col in (3, 4, 5):  # nmi, purity, fscore
                 assert median[col] == f"{np.median([float(f[col]) for f in fits]):.7f}"
+
+
+# Records OPENBLAS_NUM_THREADS as it reads when numpy is first imported, then
+# runs `orkmc --help` through the entry named in argv[1].
+NUMPY_IMPORT_PROBE = """
+import json, os, runpy, sys
+
+seen = []
+
+class NumpyImportProbe:
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, NumpyImportProbe())
+entry, sys.argv = sys.argv[1], ["orkmc", "--help"]
+try:
+    if entry == "module":
+        runpy.run_module("orkmc.cli", run_name="__main__", alter_sys=True)
+    else:
+        from orkmc._entry import run
+        run()
+finally:
+    print("PROBE " + json.dumps(seen), file=sys.stderr)
+"""
+
+
+def child_env(**overrides) -> dict:
+    """This environment without OPENBLAS_NUM_THREADS, with ``orkmc`` importable."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(orkmc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(overrides)
+    return env
+
+
+class TestEntry:
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize(
+        "preset, seen", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")], ids=["unset", "set"]
+    )
+    def test_blas_thread_default_is_set_before_numpy_loads(self, entry, preset, seen):
+        run = subprocess.run(
+            [sys.executable, "-c", NUMPY_IMPORT_PROBE, entry], env=child_env(**preset),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: orkmc")
+        probe = [line for line in run.stderr.splitlines() if line.startswith("PROBE ")]
+        assert probe == [f"PROBE {json.dumps([seen])}"]
