@@ -11,9 +11,10 @@ def default_blas_threads() -> None:
     """Default OpenBLAS to one thread unless the caller set a count.
 
     OpenBLAS starts its worker threads inside ``import numpy``, and they spin
-    there for about 0.14 s of CPU per process.  The fits make no threaded BLAS
-    call that pays that back on the workloads measured (CHANGES.md), so a CLI
-    run uses one thread; ``OPENBLAS_NUM_THREADS=N orkmc ...`` still wins.
+    there for about 0.13 s of CPU per process.  Threaded BLAS did not pay that
+    back on a 2-core host, up to an ``rkmc_fit`` on 200 000 x 50 rows
+    (CHANGES.md; more cores are unmeasured), so a CLI run uses one thread.
+    ``OPENBLAS_NUM_THREADS=N orkmc ...`` still wins.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
