@@ -33,7 +33,7 @@ _EXPORTS = {
         "metrics": ("ContingencyTable", "index", "nmi", "pair_scores", "purity"),
         "model": ("AssignmentMatrix", "CenterSet", "ClusterResult", "HyperParams",
                   "MultiViewDataset", "objective_online", "objective_rkmc", "validate"),
-        "offline": ("RkmcConfig", "rkmc_fit", "update_M", "update_U"),
+        "offline": ("rkmc_fit", "update_M", "update_U"),
         "online": ("OnlineState", "orkmc_init", "orkmc_run", "orkmc_step"),
     }.items()
     for name in names
@@ -41,46 +41,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentMatrix",
-    "CenterSet",
-    "ClusterResult",
-    "ContingencyTable",
-    "DatasetManifest",
-    "HyperParams",
-    "MultiViewDataset",
-    "OnlineState",
-    "RkmcConfig",
-    "ScenarioPreset",
-    "SimSpec",
-    "add_shuffled_noise_view",
-    "generate",
-    "index",
-    "kmeans_fit",
-    "load",
-    "load_qcm",
-    "load_result",
-    "nmi",
-    "nnls",
-    "objective_online",
-    "objective_rkmc",
-    "ogd_fit",
-    "omu_fit",
-    "orkmc_init",
-    "orkmc_run",
-    "orkmc_step",
-    "pair_scores",
-    "pkmeans_fit",
-    "preset",
-    "project_simplex",
-    "purity",
-    "rkmc_fit",
-    "save_dataset",
-    "save_result",
-    "update_M",
-    "update_U",
-    "validate",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

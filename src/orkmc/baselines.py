@@ -8,22 +8,31 @@
 * :func:`omu_fit` -- online multiplicative-update NMF clustering with
   streaming sufficient statistics.
 
-Each returns a :class:`~orkmc.model.ClusterResult`, built by
-:func:`~orkmc.model.fit_result`, that passes :func:`~orkmc.model.validate`.
+Each is called as ``fit(data, hyper)`` with a :class:`~orkmc.model.HyperParams`,
+like the RKMC and ORKMC solvers, and reads only the fields it uses (k, seed,
+and max_iter, epsilon or chushi where the method has them).  Each returns a
+:class:`~orkmc.model.ClusterResult`, built by :func:`~orkmc.model.fit_result`,
+that passes :func:`~orkmc.model.validate`.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from typing import Optional
 
 import numpy as np
 
 from ._util import rng_for, select_initial_rows
 from .errors import ConfigError, DataWarning
 from .kernels import assignment_qp, cluster_means, one_hot, sq_dists
-from .model import CenterSet, ClusterResult, MultiViewDataset, fit_result, view_residuals
+from .model import (
+    CenterSet,
+    ClusterResult,
+    HyperParams,
+    MultiViewDataset,
+    fit_result,
+    view_residuals,
+)
 
 MU_DELTA = 1e-12
 ZERO_DIST = 1e-30
@@ -37,32 +46,22 @@ def nearest_center_labels(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(sq_dists(x, centers), axis=1)
 
 
-def _split_centers(centers: np.ndarray, data: MultiViewDataset) -> CenterSet:
-    parts = np.split(centers, np.cumsum(data.feature_counts)[:-1], axis=1)
-    return CenterSet(tuple(np.ascontiguousarray(p) for p in parts))
-
-
-def kmeans_fit(
-    data: MultiViewDataset,
-    k: int,
-    max_iter: int = 100,
-    epsilon: float = 1e-6,
-    seed: int = 0,
-) -> ClusterResult:
+def kmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Lloyd K-means on the stacked views; hard one-hot assignments.
 
-    Stops on a label fixpoint, a center change of at most ``epsilon``, or
-    ``max_iter``.  Empty clusters are re-seeded at the point farthest from its
-    assigned center, which only lowers the within-cluster SSE.
+    Stops on a label fixpoint, a center change of at most ``hyper.epsilon``,
+    or ``hyper.max_iter``.  Empty clusters are re-seeded at the point farthest
+    from its assigned center, which only lowers the within-cluster SSE.
     """
+    k = hyper.k
     if k > data.n_samples:
         raise ConfigError(f"k={k} exceeds the number of samples ({data.n_samples})")
     x = data.stacked()
     t0 = time.perf_counter()
-    centers = x[select_initial_rows(x, k, seed, "kmeans-init")].copy()
+    centers = x[select_initial_rows(x, k, hyper.seed, "kmeans-init")].copy()
     labels = None
     trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(hyper.max_iter):
         d = sq_dists(x, centers)
         new_labels = np.argmin(d, axis=1)
         own = d[np.arange(x.shape[0]), new_labels]
@@ -79,11 +78,11 @@ def kmeans_fit(
         trace.append(float(np.sum((x - new_centers[labels]) ** 2)))
         delta = float(np.linalg.norm(new_centers - centers))
         centers = new_centers
-        if fixpoint or delta <= epsilon:
+        if fixpoint or delta <= hyper.epsilon:
             break
     elapsed = time.perf_counter() - t0
     return fit_result(
-        data, one_hot(labels, k), _split_centers(centers, data),
+        data, one_hot(labels, k), CenterSet.from_stacked(centers, data.feature_counts),
         trace, elapsed, {"algorithm": "kmeans"},
     )
 
@@ -138,27 +137,23 @@ def power_mm_step(x: np.ndarray, centers: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def pkmeans_fit(
-    data: MultiViewDataset,
-    k: int,
-    max_iter: int = 100,
-    seed: int = 0,
-) -> ClusterResult:
+def pkmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Power K-means (single view): one MM step per iteration while ``s``
     anneals from ``POWER_S0`` by the factor ``POWER_STEP`` down to
     ``POWER_S_MIN``; as ``s`` grows negative the assignments approach
     nearest-center.  Stops once ``s`` is at the floor and the centers moved by
-    at most 1e-8, or after ``max_iter`` steps."""
+    at most 1e-8, or after ``hyper.max_iter`` steps."""
+    k = hyper.k
     if data.n_views != 1:
         raise ConfigError("power K-means is a single-view algorithm")
     if k > data.n_samples:
         raise ConfigError(f"k={k} exceeds the number of samples ({data.n_samples})")
     x = data.views[0]
     t0 = time.perf_counter()
-    centers = x[select_initial_rows(x, k, seed, "pkmeans-init")].copy()
+    centers = x[select_initial_rows(x, k, hyper.seed, "pkmeans-init")].copy()
     s = POWER_S0
     trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(hyper.max_iter):
         new_centers = power_mm_step(x, centers, s)
         trace.append(power_mean_objective(x, new_centers, s))
         delta = float(np.linalg.norm(new_centers - centers))
@@ -169,34 +164,30 @@ def pkmeans_fit(
     elapsed = time.perf_counter() - t0
     labels = nearest_center_labels(x, centers)
     return fit_result(
-        data, one_hot(labels, k), _split_centers(centers, data),
+        data, one_hot(labels, k), CenterSet.from_stacked(centers, data.feature_counts),
         trace, elapsed, {"algorithm": "pkmeans", "final_s": s},
     )
 
 
-def ogd_fit(
-    data: MultiViewDataset,
-    k: int,
-    chushi: Optional[int] = None,
-    seed: int = 0,
-) -> ClusterResult:
+def ogd_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Online gradient-descent K-means (single view).
 
-    K centers are seeded by kmeans++ from the first ``chushi`` rows, each with
-    count ``n_k = 1``; every other row arrives in order, is labeled by its
-    nearest center, and moves that center by ``(x - center) / (n_k + 1)``
-    before ``n_k`` grows by one, so each center stays the running mean of the
-    rows it has absorbed.
+    K centers are seeded by kmeans++ from the first ``hyper.chushi`` rows (the
+    first K when it is None), each with count ``n_k = 1``; every other row
+    arrives in order, is labeled by its nearest center, and moves that center
+    by ``(x - center) / (n_k + 1)`` before ``n_k`` grows by one, so each
+    center stays the running mean of the rows it has absorbed.
     """
     if data.n_views != 1:
         raise ConfigError("online gradient descent is a single-view algorithm")
+    k = hyper.k
     x = data.views[0]
     n = x.shape[0]
-    chushi = k if chushi is None else chushi
+    chushi = k if hyper.chushi is None else hyper.chushi
     if not k <= chushi <= n:
         raise ConfigError(f"need k <= chushi <= n, got k={k}, chushi={chushi}, n={n}")
     t0 = time.perf_counter()
-    seeds = select_initial_rows(x[:chushi], k, seed, "ogd-init")
+    seeds = select_initial_rows(x[:chushi], k, hyper.seed, "ogd-init")
     centers = x[seeds].copy()
     counts = np.ones(k)
     labels = np.zeros(n, dtype=np.intp)
@@ -217,7 +208,7 @@ def ogd_fit(
         counts[k_star] += 1.0
     elapsed = time.perf_counter() - t0
     return fit_result(
-        data, one_hot(labels, k), _split_centers(centers, data),
+        data, one_hot(labels, k), CenterSet.from_stacked(centers, data.feature_counts),
         trace, elapsed, {"algorithm": "ogd"},
     )
 
@@ -242,26 +233,22 @@ def _normalize_rows(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def omu_fit(
-    data: MultiViewDataset,
-    k: int,
-    chushi: Optional[int] = None,
-    max_iter: int = 50,
-    seed: int = 0,
-) -> ClusterResult:
+def omu_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Online multiplicative-update NMF clustering.
 
-    Negative inputs are min-shifted per view (flagged).  The first ``chushi``
-    rows are fitted as a batch with alternating multiplicative updates; each
+    Negative inputs are min-shifted per view (flagged).  The first
+    ``hyper.chushi`` rows (all of them when it is None) are fitted as a batch
+    with ``hyper.max_iter`` rounds of alternating multiplicative updates; each
     later arrival gets its own row updates against the current centers, and the
     centers follow via streaming U'X / U'U accumulators.  Assignment rows are
     renormalized to the simplex when the result is assembled, keeping the
     batch iterations on the plain multiplicative descent path.
     """
+    k, max_iter = hyper.k, hyper.max_iter
     if k > data.n_samples:
         raise ConfigError(f"k={k} exceeds the number of samples ({data.n_samples})")
     n = data.n_samples
-    chushi = n if chushi is None else chushi
+    chushi = n if hyper.chushi is None else hyper.chushi
     if not k <= chushi <= n:
         raise ConfigError(f"need k <= chushi <= n, got k={k}, chushi={chushi}, n={n}")
 
@@ -283,7 +270,7 @@ def omu_fit(
             shifts.append(0.0)
 
     t0 = time.perf_counter()
-    rng = rng_for(seed, "omu-init")
+    rng = rng_for(hyper.seed, "omu-init")
     u_batch = rng.uniform(0.1, 1.0, size=(chushi, k))
     center_mats = []
     for x in views:

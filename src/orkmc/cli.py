@@ -39,7 +39,7 @@ import numpy as np
 from . import baselines, dataio, datagen, metrics
 from .errors import OrkmcError, UsageError
 from .model import ClusterResult, HyperParams, MultiViewDataset
-from .offline import RkmcConfig, rkmc_fit
+from .offline import rkmc_fit
 from .online import orkmc_run
 
 ALGORITHMS = ("rkmc", "orkmc", "kmeans", "pkmeans", "ogd", "omu")
@@ -74,23 +74,16 @@ def _with_default_chushi(hyper: HyperParams, algo: str, n_samples: int) -> Hyper
 
 
 def _run_algorithm(algo: str, data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
+    """Call solver ``algo`` as ``fit(data, hyper)``.  The solver is looked up
+    when called (this module's ``rkmc_fit``/``orkmc_run``, else
+    ``baselines.<algo>_fit``), so a function replaced after import is used."""
+    if algo not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {algo!r}")
     if algo == "rkmc":
-        return rkmc_fit(data, RkmcConfig(hyper=hyper))
+        return rkmc_fit(data, hyper)
     if algo == "orkmc":
         return orkmc_run(data, hyper)
-    if algo == "kmeans":
-        return baselines.kmeans_fit(
-            data, hyper.k, max_iter=hyper.max_iter, epsilon=hyper.epsilon, seed=hyper.seed
-        )
-    if algo == "pkmeans":
-        return baselines.pkmeans_fit(data, hyper.k, max_iter=hyper.max_iter, seed=hyper.seed)
-    if algo == "ogd":
-        return baselines.ogd_fit(data, hyper.k, chushi=hyper.chushi, seed=hyper.seed)
-    if algo == "omu":
-        return baselines.omu_fit(
-            data, hyper.k, chushi=hyper.chushi, max_iter=hyper.max_iter, seed=hyper.seed
-        )
-    raise UsageError(f"unknown algorithm {algo!r}")
+    return getattr(baselines, f"{algo}_fit")(data, hyper)
 
 
 def _scores(result: ClusterResult, data: MultiViewDataset):
@@ -296,16 +289,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algo", required=True, choices=algos)
         p.add_argument("--data", required=True, help="dataset manifest (JSON)")
         p.add_argument("--k", required=True, type=int, help="number of clusters")
-        p.add_argument("--yita", "--eta", dest="yita", type=float, default=1.0,
+        p.add_argument("--yita", "--eta", dest="yita", type=float, default=HyperParams.eta,
                        help="regularization strength")
-        p.add_argument("--r", type=float, default=0.5, help="balance exponent")
+        p.add_argument("--r", type=float, default=HyperParams.r, help="balance exponent")
         p.add_argument("--gamma", type=float, default=None,
                        help="gradient step length (default: automatic)")
-        p.add_argument("--epsilon", type=float, default=1e-4, help="stop threshold")
+        p.add_argument("--epsilon", type=float, default=HyperParams.epsilon,
+                       help="stop threshold")
         p.add_argument("--chushi", "--init-size", dest="chushi", type=int, default=None,
                        help="initial batch size for the online solvers")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=HyperParams.max_iter)
+        p.add_argument("--seed", type=int, default=HyperParams.seed)
         p.add_argument("--out", required=True, help="result JSON path")
 
     p_fit = sub.add_parser("fit", help="run one solver on a dataset")

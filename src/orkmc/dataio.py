@@ -85,13 +85,16 @@ class DatasetManifest:
         has_header = doc.get("has_header", False)
         if not isinstance(has_header, bool):
             raise ParseError(f"{path}: manifest key 'has_header' must be true or false")
+        name = doc.get("name", os.path.basename(path))
+        if not isinstance(name, str):
+            raise ParseError(f"{path}: manifest key 'name' must be a string")
         base = os.path.dirname(os.path.abspath(path))
 
         def resolve(p):
             return p if os.path.isabs(p) else os.path.join(base, p)
 
         return cls(
-            name=doc.get("name", os.path.basename(path)),
+            name=name,
             view_files=tuple(resolve(p) for p in view_files),
             label_file=resolve(label_file) if label_file else None,
             k_true=k_true,

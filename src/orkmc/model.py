@@ -147,6 +147,11 @@ class CenterSet:
             self, "centers", tuple(_as_matrix(m, f"center matrix {v}") for v, m in enumerate(self.centers))
         )
 
+    @classmethod
+    def from_stacked(cls, m: np.ndarray, feature_counts, nonneg_enforced=False) -> "CenterSet":
+        """Split a K x sum(J_v) matrix into per-view blocks of ``feature_counts`` columns."""
+        return cls(tuple(np.split(m, np.cumsum(feature_counts)[:-1], axis=1)), nonneg_enforced)
+
     @property
     def k(self) -> int:
         return self.centers[0].shape[0]

@@ -18,13 +18,16 @@ increases outside of logged center re-seed events.  Each solve decides once,
 by a rank test on its Hessian or Gram matrix (``kernels._singular``), whether
 its systems are singular; a singular one takes the ridge rule and warns
 ``RidgeFallbackWarning`` once.
+
+:func:`rkmc_fit` is called as ``rkmc_fit(data, hyper)``, like every other
+solver; its two keywords, ``assignment="hard"`` (Lloyd's nearest-center
+updates) and ``initial_centers``, serve to compare the solver with Lloyd.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,32 +64,6 @@ RESEED_AFTER = 3
 FACE_SWEEPS = 2
 # Seeded initializations per fit; the lowest final objective is kept.
 N_RESTARTS = 2
-
-
-@dataclass(frozen=True)
-class RkmcConfig:
-    """Configuration of :func:`rkmc_fit`.
-
-    ``hyper`` supplies k, eta, epsilon, max_iter and seed (gamma, chushi and
-    the balance parameter r play no role offline; r is recorded only under
-    ``metadata["hyper"]``).  Centers are kept nonnegative exactly when the
-    data is.  Each of the ``N_RESTARTS`` restarts seeds its centers at K data
-    rows chosen by kmeans++ (:func:`~orkmc._util.select_initial_rows`), unless
-    ``initial_centers`` is given, which makes a single run from those centers.
-    ``assignment="soft"`` solves each row QP over the simplex; ``"hard"``
-    restricts rows to the simplex vertices (classic nearest-center updates).
-    ``track_labels`` records the hard labels after every iteration under
-    ``metadata["label_history"]``.
-    """
-
-    hyper: HyperParams
-    assignment: str = "soft"
-    initial_centers: Optional[CenterSet] = None
-    track_labels: bool = False
-
-    def __post_init__(self):
-        if self.assignment not in ("soft", "hard"):
-            raise ConfigError(f"assignment must be 'soft' or 'hard', got {self.assignment!r}")
 
 
 def update_U(
@@ -158,8 +135,7 @@ def update_M(
             m[live] = nnls(ul, x, start=np.maximum(m[live], 0.0))
         else:
             m[live] = solve_ridge_normal(ul.T @ ul, ul.T @ x)
-    splits = np.cumsum(data.feature_counts)[:-1]
-    return CenterSet(tuple(np.split(m, splits, axis=1)), nonneg_enforced=nonneg)
+    return CenterSet.from_stacked(m, data.feature_counts, nonneg)
 
 
 def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet) -> np.ndarray:
@@ -170,15 +146,9 @@ def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet)
     return r
 
 
-def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str) -> dict:
-    hyper = cfg.hyper
-    m = cfg.initial_centers
-    if m is None:
-        idx = select_initial_rows(data.stacked(), hyper.k, hyper.seed, tag)
-        m = CenterSet(tuple(x[idx].copy() for x in data.views))
-    u = update_U(data, m, None, hyper.eta, mode=cfg.assignment)
+def _fit_once(data: MultiViewDataset, hyper: HyperParams, assignment: str, m: CenterSet) -> dict:
+    u = update_U(data, m, None, hyper.eta, mode=assignment)
     trace = [objective_rkmc(data, u, m, hyper.eta)]
-    labels_hist = [u.hard_labels.copy()] if cfg.track_labels else None
     empty_streak = np.zeros(hyper.k, dtype=int)
     reseed_steps: list[int] = []
     converged = False
@@ -188,10 +158,8 @@ def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str) -> dict:
             float(np.linalg.norm(a - b)) for a, b in zip(m_new.centers, m.centers)
         )
         m = m_new
-        u = update_U(data, m, u, hyper.eta, mode=cfg.assignment)
+        u = update_U(data, m, u, hyper.eta, mode=assignment)
         trace.append(objective_rkmc(data, u, m, hyper.eta))
-        if labels_hist is not None:
-            labels_hist.append(u.hard_labels.copy())
 
         counts = np.bincount(u.hard_labels, minlength=hyper.k)
         empty_streak = np.where(counts == 0, empty_streak + 1, 0)
@@ -211,32 +179,38 @@ def _fit_once(data: MultiViewDataset, cfg: RkmcConfig, tag: str) -> dict:
         if delta <= hyper.epsilon:
             converged = True
             break
-    return {
-        "u": u,
-        "m": m,
-        "trace": trace,
-        "reseed_steps": reseed_steps,
-        "labels_hist": labels_hist,
-        "converged": converged,
-    }
+    return {"u": u, "m": m, "trace": trace, "reseed_steps": reseed_steps, "converged": converged}
 
 
-def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
-    """Fit the regularized K-means model; see :class:`RkmcConfig`.
+def rkmc_fit(
+    data: MultiViewDataset,
+    hyper: HyperParams,
+    *,
+    assignment: str = "soft",
+    initial_centers: Optional[CenterSet] = None,
+) -> ClusterResult:
+    """Fit the regularized K-means model.
 
-    Runs ``N_RESTARTS`` seeded initializations (a single run when explicit
-    ``initial_centers`` are given) and keeps the one with the lowest final
-    objective.  The returned trace is the kept run's per-iteration objective.
-    ``initial_centers`` must hold one K x J_v matrix per view
-    (``DimensionError`` otherwise).
+    ``hyper`` supplies k, eta, epsilon, max_iter and seed (gamma, chushi and
+    the balance parameter r play no role offline; r is recorded only under
+    ``metadata["hyper"]``).  Centers are kept nonnegative exactly when the
+    data is.  Each of the ``N_RESTARTS`` restarts seeds its centers at K data
+    rows chosen by kmeans++ (:func:`~orkmc._util.select_initial_rows`) and the
+    one with the lowest final objective is kept; ``initial_centers``, one
+    K x J_v matrix per view (``DimensionError`` otherwise), makes a single run
+    from those centers instead.  ``assignment="soft"`` solves each row QP over
+    the simplex; ``"hard"`` restricts rows to the simplex vertices (classic
+    nearest-center updates).  The returned trace is the kept run's
+    per-iteration objective.
     """
-    hyper = cfg.hyper
+    if assignment not in ("soft", "hard"):
+        raise ConfigError(f"assignment must be 'soft' or 'hard', got {assignment!r}")
     if hyper.k > data.n_samples:
         raise ConfigError(
             f"k={hyper.k} exceeds the number of samples ({data.n_samples})"
         )
-    if cfg.initial_centers is not None:
-        _check_center_shapes(data, cfg.initial_centers.centers, hyper.k)
+    if initial_centers is not None:
+        _check_center_shapes(data, initial_centers.centers, hyper.k)
     stacked = data.stacked()
     if np.all(stacked == stacked[0]):
         warnings.warn(
@@ -245,27 +219,25 @@ def rkmc_fit(data: MultiViewDataset, cfg: RkmcConfig) -> ClusterResult:
             stacklevel=2,
         )
     t0 = time.perf_counter()
-    if cfg.initial_centers is not None:
-        best = _fit_once(data, cfg, "rkmc-init")
-        restart_used = 0
-    else:
-        best, restart_used = None, -1
-        for r in range(N_RESTARTS):
-            fit = _fit_once(data, cfg, f"rkmc-init-{r}")
-            if best is None or fit["trace"][-1] < best["trace"][-1]:
-                best, restart_used = fit, r
+    best, restart_used = None, -1
+    for r in range(1 if initial_centers is not None else N_RESTARTS):
+        m = initial_centers
+        if m is None:
+            idx = select_initial_rows(stacked, hyper.k, hyper.seed, f"rkmc-init-{r}")
+            m = CenterSet(tuple(x[idx].copy() for x in data.views))
+        fit = _fit_once(data, hyper, assignment, m)
+        if best is None or fit["trace"][-1] < best["trace"][-1]:
+            best, restart_used = fit, r
     elapsed = time.perf_counter() - t0
 
     metadata = {
         "algorithm": "rkmc",
         "hyper": hyper.as_dict(),
-        "assignment": cfg.assignment,
+        "assignment": assignment,
         "n_restarts": N_RESTARTS,
         "restart_used": restart_used,
         "enforce_center_nonneg": best["m"].nonneg_enforced,
         "reseed_steps": list(best["reseed_steps"]),
         "converged": best["converged"],
     }
-    if best["labels_hist"] is not None:
-        metadata["label_history"] = [h.tolist() for h in best["labels_hist"]]
     return fit_result(data, best["u"].entries, best["m"], best["trace"], elapsed, metadata)

@@ -34,7 +34,7 @@ import numpy as np
 from orkmc import datagen, kmeans_fit, ogd_fit, omu_fit, orkmc_run, pkmeans_fit, validate
 from orkmc._util import select_initial_rows
 from orkmc.model import CenterSet, HyperParams, MultiViewDataset
-from orkmc.offline import N_RESTARTS, RkmcConfig, rkmc_fit
+from orkmc.offline import N_RESTARTS, rkmc_fit
 from orkmc.online import orkmc_init, orkmc_step
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "replay_goldens.json")
@@ -78,13 +78,13 @@ def _clamp_data(seed, chushi):
     )
 
 
-# name -> (dataset, fit).  Every fit is a public entry point with its defaults
-# except where a keyword is given.
+# name -> (dataset, fit).  Every fit is a public entry point called as
+# ``fit(data, hyper)``; a HyperParams field not given takes its default.
 CASES = {
-    "rkmc-mixed": (lambda: _data(24, 3, 2, 3, seed=0), lambda d: rkmc_fit(d, RkmcConfig(_rkmc_hyper(0)))),
+    "rkmc-mixed": (lambda: _data(24, 3, 2, 3, seed=0), lambda d: rkmc_fit(d, _rkmc_hyper(0))),
     "rkmc-nonneg": (
         lambda: _data(24, 3, 2, 3, seed=10, nonneg=True),
-        lambda d: rkmc_fit(d, RkmcConfig(_rkmc_hyper(10))),
+        lambda d: rkmc_fit(d, _rkmc_hyper(10)),
     ),
     "orkmc": (lambda: _data(40, 3, 2, 2, seed=3), lambda d: orkmc_run(d, _orkmc_hyper(3))),
     "orkmc-c5": (lambda: _c5_data(1), lambda d: orkmc_run(d, HyperParams(k=3, eta=5.0, chushi=620, seed=1))),
@@ -101,12 +101,15 @@ CASES = {
         lambda: _clamp_data(20, 6),
         lambda d: orkmc_run(d, HyperParams(k=3, eta=0.5, epsilon=1e-3, chushi=6, seed=20)),
     ),
-    "kmeans": (lambda: _data(30, 3, 2, 2, seed=4), lambda d: kmeans_fit(d, 3, seed=4)),
-    "pkmeans": (lambda: _data(30, 3, 1, 2, seed=5), lambda d: pkmeans_fit(d, 3, seed=5)),
-    "ogd": (lambda: _data(30, 3, 1, 2, seed=6), lambda d: ogd_fit(d, 3, chushi=8, seed=6)),
+    "kmeans": (
+        lambda: _data(30, 3, 2, 2, seed=4),
+        lambda d: kmeans_fit(d, HyperParams(k=3, epsilon=1e-6, seed=4)),
+    ),
+    "pkmeans": (lambda: _data(30, 3, 1, 2, seed=5), lambda d: pkmeans_fit(d, HyperParams(k=3, seed=5))),
+    "ogd": (lambda: _data(30, 3, 1, 2, seed=6), lambda d: ogd_fit(d, HyperParams(k=3, chushi=8, seed=6))),
     "omu": (
         lambda: _data(30, 3, 2, 2, seed=7, nonneg=True),
-        lambda d: omu_fit(d, 3, chushi=10, max_iter=20, seed=7),
+        lambda d: omu_fit(d, HyperParams(k=3, chushi=10, max_iter=20, seed=7)),
     ),
 }
 
@@ -139,7 +142,7 @@ def _restart_margin(data, seed) -> float:
     for r in range(N_RESTARTS):
         idx = select_initial_rows(data.stacked(), 3, seed, f"rkmc-init-{r}")
         start = CenterSet(tuple(x[idx].copy() for x in data.views))
-        finals.append(rkmc_fit(data, RkmcConfig(hyper, initial_centers=start)).objective_trace[-1])
+        finals.append(rkmc_fit(data, hyper, initial_centers=start).objective_trace[-1])
     return abs(finals[0] - finals[1]) / max(abs(f) for f in finals)
 
 

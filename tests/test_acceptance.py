@@ -24,7 +24,6 @@ import oracles
 from orkmc import (
     HyperParams,
     MultiViewDataset,
-    RkmcConfig,
     nnls,
     project_simplex,
     rkmc_fit,
@@ -95,7 +94,7 @@ def _case1_runs():
         hyper = HyperParams(
             k=scenario.sim.k, eta=scenario.eta, chushi=scenario.chushi, seed=seed
         )
-        offline_nmi = rkmc_fit(data, RkmcConfig(hyper=hyper)).nmi
+        offline_nmi = rkmc_fit(data, hyper).nmi
         online_nmi = orkmc_run(data, hyper).nmi
         pairs.append((offline_nmi, online_nmi))
     return pairs
@@ -150,7 +149,7 @@ def test_c03_rkmc_monotonicity():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("error", ConvergenceWarning)
                 warnings.simplefilter("always", RidgeFallbackWarning)
-                res = rkmc_fit(data, RkmcConfig(hyper=hyper))
+                res = rkmc_fit(data, hyper)
             ridged += any(w.category is RidgeFallbackWarning for w in caught)
             skip = set(res.metadata["reseed_steps"])
             trace = res.objective_trace
@@ -173,18 +172,18 @@ def test_c04_lloyd_reduction():
             k = int(rng.integers(2, 5))
             x = rng.normal(size=(n, 2)) * 2.5
             centers0 = x[rng.choice(n, size=k, replace=False)].copy()
-            cfg = RkmcConfig(
-                hyper=HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=10, seed=i),
-                assignment="hard",
-                initial_centers=CenterSet((centers0.copy(),)),
-                track_labels=True,
-            )
-            res = rkmc_fit(MultiViewDataset(views=(x,)), cfg)
-            history = res.metadata["label_history"]
-            reference = oracles.lloyd_reference(x, centers0, len(history))
-            for ours, ref in zip(history, reference):
-                assert ours == ref.tolist()
-        crit.detail = "20 instances, per-iteration labels identical to reference Lloyd"
+            data, start = MultiViewDataset(views=(x,)), CenterSet((centers0.copy(),))
+            hyper = HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=10, seed=i)
+            # Iteration 0 is the first assignment; iteration t ends a fit of t steps.
+            ours = [update_U(data, start, None, hyper.eta, mode="hard").hard_labels]
+            for t in range(1, hyper.max_iter + 1):
+                res = rkmc_fit(data, replace(hyper, max_iter=t), assignment="hard",
+                               initial_centers=start)
+                ours.append(res.assignment.hard_labels)
+            reference = oracles.lloyd_reference(x, centers0, len(ours))
+            for t, (got, want) in enumerate(zip(ours, reference)):
+                assert np.array_equal(got, want), (i, t)
+        crit.detail = "20 instances, labels identical to reference Lloyd at iterations 0-10"
 
 
 def test_c05_simulation_anchor():
@@ -256,7 +255,7 @@ def test_c09_qcm_anchor():
         best_offline = best_online = 0.0
         for seed in range(10):
             hyper = HyperParams(k=5, eta=110.0, r=0.5, chushi=62, max_iter=100, seed=seed)
-            res = rkmc_fit(data, RkmcConfig(hyper=hyper))
+            res = rkmc_fit(data, hyper)
             best_offline = max(best_offline, purity(res.assignment.hard_labels, data.labels))
             res2 = orkmc_run(data, hyper)
             best_online = max(best_online, purity(res2.assignment.hard_labels, data.labels))
@@ -270,7 +269,7 @@ def test_c10_performance_envelope():
         data = generate(SimSpec(n=125, k=5, v=1, j=10, seed=0))
         hyper = HyperParams(k=5, eta=110.0, r=0.5, max_iter=100, seed=0)
         t0 = time.perf_counter()
-        rkmc_fit(data, RkmcConfig(hyper=hyper))
+        rkmc_fit(data, hyper)
         offline_time = time.perf_counter() - t0
         assert offline_time < 1.0, f"RKMC on 125x10 took {offline_time:.2f}s"
 
@@ -306,12 +305,12 @@ def test_c11_determinism(tmp_path):
         single = data.single_view(0)
         hyper = HyperParams(k=3, eta=1.0, chushi=30, seed=9)
         runs = {
-            "rkmc": lambda: rkmc_fit(data, RkmcConfig(hyper=hyper)),
+            "rkmc": lambda: rkmc_fit(data, hyper),
             "orkmc": lambda: orkmc_run(data, hyper),
-            "kmeans": lambda: kmeans_fit(data, 3, seed=9),
-            "pkmeans": lambda: pkmeans_fit(single, 3, seed=9),
-            "ogd": lambda: ogd_fit(single, 3, chushi=30, seed=9),
-            "omu": lambda: omu_fit(data, 3, chushi=30, seed=9),
+            "kmeans": lambda: kmeans_fit(data, replace(hyper, epsilon=1e-6)),
+            "pkmeans": lambda: pkmeans_fit(single, hyper),
+            "ogd": lambda: ogd_fit(single, hyper),
+            "omu": lambda: omu_fit(data, replace(hyper, max_iter=50)),
         }
         for name, fit in runs.items():
             assert _masked_result_json(fit()) == _masked_result_json(fit()), name
@@ -340,7 +339,7 @@ def test_c12_baseline_properties():
         # kmeans SSE monotone
         for seed in range(10):
             data = generate(SimSpec(n=60, k=3, v=1, j=2, seed=seed))
-            trace = kmeans_fit(data, 3, seed=seed).objective_trace
+            trace = kmeans_fit(data, HyperParams(k=3, epsilon=1e-6, seed=seed)).objective_trace
             for i in range(1, len(trace)):
                 assert trace[i] <= trace[i - 1] + 1e-9
 
@@ -359,7 +358,7 @@ def test_c12_baseline_properties():
         # pkmeans at s=-100 agrees with Lloyd labels from its converged centers
         for seed in range(20):
             data = generate(SimSpec(n=40, k=3, v=1, j=2, seed=seed))
-            res = pkmeans_fit(data, 3, max_iter=120, seed=seed)
+            res = pkmeans_fit(data, HyperParams(k=3, max_iter=120, seed=seed))
             lloyd = nearest_center_labels(data.views[0], res.centers.centers[0])
             assert np.array_equal(res.assignment.hard_labels, lloyd)
 

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import orkmc
-from orkmc import errors, kernels, model
+from orkmc import errors, kernels, model, offline
 
 
 def test_every_public_name_resolves():
@@ -23,10 +24,12 @@ def test_star_import_gives_exactly_the_public_names():
     assert set(namespace) - {"__builtins__"} == set(orkmc.__all__)
 
 
-@pytest.mark.parametrize("name", ["ViewWeights", "RowQP", "solve_row_qp", "NumericalError"])
+@pytest.mark.parametrize(
+    "name", ["ViewWeights", "RowQP", "solve_row_qp", "NumericalError", "RkmcConfig"]
+)
 def test_removed_names_stay_gone(name):
     assert name not in orkmc.__all__
-    for module in (orkmc, model, kernels, errors):
+    for module in (orkmc, model, kernels, errors, offline):
         assert not hasattr(module, name), module.__name__
 
 
@@ -74,3 +77,17 @@ def test_library_import_loads_lazily_and_leaves_the_environment_alone():
     assert report["after_star"] == ["orkmc.baselines", "orkmc.offline", "orkmc.online"]
     assert report["not_home_object"] == []
     assert report["OPENBLAS_NUM_THREADS"] is None
+
+
+@pytest.mark.parametrize(
+    "name", ["rkmc_fit", "orkmc_run", "kmeans_fit", "pkmeans_fit", "ogd_fit", "omu_fit"]
+)
+def test_every_solver_is_called_with_data_and_hyper(name):
+    fit = getattr(orkmc, name)
+    params = inspect.signature(fit).parameters
+    assert list(params)[:2] == ["data", "hyper"]
+    x = orkmc.generate(orkmc.SimSpec(n=40, k=3, v=1, j=2, seed=1)).views[0]
+    data = orkmc.MultiViewDataset(views=(x - x.min(),))
+    assert orkmc.validate(fit(data, orkmc.HyperParams(k=3, chushi=10, seed=1))) == []
+    with pytest.raises(errors.ConfigError):
+        fit(data, orkmc.HyperParams(k=41, chushi=41))

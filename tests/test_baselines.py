@@ -19,7 +19,7 @@ from orkmc.baselines import (
     power_mm_step,
 )
 from orkmc.errors import ConfigError
-from orkmc.model import MultiViewDataset, validate
+from orkmc.model import HyperParams, MultiViewDataset, validate
 from orkmc.datagen import SimSpec, generate
 
 
@@ -38,20 +38,20 @@ def perm_match(a, b):
 
 class TestKmeans:
     def test_two_pairs(self):
-        res = kmeans_fit(two_pairs(), 2, seed=0)
+        res = kmeans_fit(two_pairs(), HyperParams(k=2, epsilon=1e-6, seed=0))
         assert perm_match(res.assignment.hard_labels, [0, 0, 1, 1])
         assert validate(res) == []
 
     def test_k_one_gives_global_mean(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 3))
-        res = kmeans_fit(MultiViewDataset(views=(x,)), 1, seed=0)
+        res = kmeans_fit(MultiViewDataset(views=(x,)), HyperParams(k=1, epsilon=1e-6, seed=0))
         np.testing.assert_allclose(res.centers.centers[0][0], x.mean(axis=0), atol=1e-10)
 
     def test_sse_monotone_and_matches_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(30, 2)) * 2
-        res = kmeans_fit(MultiViewDataset(views=(x,)), 3, seed=2)
+        res = kmeans_fit(MultiViewDataset(views=(x,)), HyperParams(k=3, epsilon=1e-6, seed=2))
         trace = res.objective_trace
         for i in range(1, len(trace)):
             assert trace[i] <= trace[i - 1] + 1e-9
@@ -62,7 +62,7 @@ class TestKmeans:
     def test_multi_view_concatenation(self):
         rng = np.random.default_rng(2)
         data = MultiViewDataset(views=(rng.normal(size=(12, 2)), rng.normal(size=(12, 3))))
-        res = kmeans_fit(data, 2, seed=0)
+        res = kmeans_fit(data, HyperParams(k=2, epsilon=1e-6, seed=0))
         assert res.centers.n_views == 2
         assert res.centers.centers[0].shape == (2, 2)
         assert res.centers.centers[1].shape == (2, 3)
@@ -76,7 +76,7 @@ class TestKmeans:
         data = MultiViewDataset(views=(x,))
         time.sleep(0.3)
         others = time.process_time() - time.thread_time()
-        kmeans_fit(data, 10, seed=3)
+        kmeans_fit(data, HyperParams(k=10, epsilon=1e-6, seed=3))
         time.sleep(0.3)
         others = time.process_time() - time.thread_time() - others
         assert others < 0.02
@@ -87,11 +87,11 @@ class TestPkmeans:
         rng = np.random.default_rng(3)
         data = MultiViewDataset(views=(rng.normal(size=(8, 2)), rng.normal(size=(8, 2))))
         with pytest.raises(ConfigError):
-            pkmeans_fit(data, 2)
+            pkmeans_fit(data, HyperParams(k=2))
 
     def test_symmetric_two_points(self):
         data = MultiViewDataset(views=(np.array([[-1.0], [1.0]]),))
-        res = pkmeans_fit(data, 2, max_iter=60, seed=0)
+        res = pkmeans_fit(data, HyperParams(k=2, max_iter=60, seed=0))
         got = np.sort(res.centers.centers[0].ravel())
         np.testing.assert_allclose(got, [-1.0, 1.0], atol=1e-6)
 
@@ -121,7 +121,7 @@ class TestPkmeans:
         rng = np.random.default_rng(6)
         for seed in range(20):
             data = generate(SimSpec(n=40, k=3, v=1, j=2, seed=seed))
-            res = pkmeans_fit(data, 3, max_iter=120, seed=seed)
+            res = pkmeans_fit(data, HyperParams(k=3, max_iter=120, seed=seed))
             centers = res.centers.centers[0]
             lloyd_labels = nearest_center_labels(data.views[0], centers)
             assert np.array_equal(res.assignment.hard_labels, lloyd_labels)
@@ -137,7 +137,7 @@ class TestOgd:
     def test_arrivals_at_one_center_leave_others_alone(self):
         x = np.vstack([[0.0, 0.0], [10.0, 10.0], np.tile([10.0, 10.0], (5, 1))])
         data = MultiViewDataset(views=(x,))
-        res = ogd_fit(data, 2, chushi=2, seed=0)
+        res = ogd_fit(data, HyperParams(k=2, chushi=2, seed=0))
         centers = res.centers.centers[0]
         assert any(np.allclose(c, [0.0, 0.0], atol=1e-12) for c in centers)
         assert any(np.allclose(c, [10.0, 10.0], atol=1e-12) for c in centers)
@@ -146,14 +146,14 @@ class TestOgd:
         n = 12
         x = np.arange(1.0, n + 1.0)[:, None]
         data = MultiViewDataset(views=(x,))
-        res = ogd_fit(data, 1, chushi=1, seed=0)
+        res = ogd_fit(data, HyperParams(k=1, chushi=1, seed=0))
         assert res.centers.centers[0][0, 0] == pytest.approx(x.mean(), abs=1e-12)
 
     def test_separated_gaussians_quality(self):
         hits = 0
         for seed in range(20):
             data = generate(SimSpec(n=500, k=3, v=1, j=2, seed=seed))
-            res = ogd_fit(data, 3, chushi=50, seed=seed)
+            res = ogd_fit(data, HyperParams(k=3, chushi=50, seed=seed))
             hits += res.nmi >= 0.8
         assert hits >= 18
 
@@ -161,7 +161,7 @@ class TestOgd:
         rng = np.random.default_rng(8)
         data = MultiViewDataset(views=(rng.normal(size=(6, 2)), rng.normal(size=(6, 2))))
         with pytest.raises(ConfigError):
-            ogd_fit(data, 2)
+            ogd_fit(data, HyperParams(k=2))
 
 
 class TestOmu:
@@ -191,7 +191,7 @@ class TestOmu:
         rng = np.random.default_rng(11)
         x = np.abs(rng.normal(size=(20, 4)))
         data = MultiViewDataset(views=(x,))
-        res = omu_fit(data, 2, max_iter=50, seed=0)
+        res = omu_fit(data, HyperParams(k=2, max_iter=50, seed=0))
         trace = res.objective_trace
         assert len(trace) == 50
         for i in range(1, len(trace)):
@@ -202,14 +202,14 @@ class TestOmu:
         x = rng.normal(size=(10, 2))
         data = MultiViewDataset(views=(x,))
         with pytest.warns(UserWarning, match="min-shift"):
-            res = omu_fit(data, 2, max_iter=5, seed=0)
+            res = omu_fit(data, HyperParams(k=2, max_iter=5, seed=0))
         assert res.metadata["min_shift"][0] > 0
 
     def test_streaming_rows_are_simplex(self):
         rng = np.random.default_rng(13)
         x = np.abs(rng.normal(size=(30, 3)))
         data = MultiViewDataset(views=(x,))
-        res = omu_fit(data, 2, chushi=10, max_iter=20, seed=0)
+        res = omu_fit(data, HyperParams(k=2, chushi=10, max_iter=20, seed=0))
         u = res.assignment.entries
         assert np.all(u >= 0)
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-9)

@@ -14,7 +14,7 @@ import orkmc
 from orkmc.cli import main
 from orkmc.dataio import load_result, save_dataset
 from orkmc.datagen import SimSpec, generate
-from orkmc.model import MultiViewDataset
+from orkmc.model import HyperParams, MultiViewDataset
 
 
 @pytest.fixture()
@@ -76,6 +76,18 @@ class TestExitCodes:
         assert code == 1
         assert "'view_files'" in err
 
+    def test_manifest_name_of_the_wrong_type_is_runtime_error(self, capsys, tmp_path):
+        (tmp_path / "v1.csv").write_text("0\n1\n10\n11\n")
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps({"name": [1, 2], "view_files": ["v1.csv"]}))
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "fit", "--algo", "rkmc", "--data", str(mp), "--k", "2", "--out", str(out),
+        )
+        assert code == 1
+        assert "manifest key 'name' must be a string" in err
+        assert not out.exists()
+
     def test_out_of_range_seed_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--n", "20", "--k", "2", "--seed", "4294967297",
@@ -134,6 +146,15 @@ class TestFit:
             doc = load_result(out_path)
             assert len(doc["result"]) == 60
             assert doc["config"]["algorithm"] == algo
+
+    def test_unset_flags_take_the_hyperparams_defaults(self, capsys, sim_manifest, tmp_path):
+        out_path = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "fit", "--algo", "rkmc", "--data", sim_manifest, "--k", "3",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert load_result(out_path)["config"]["hyper"] == HyperParams(k=3).as_dict()
 
     def test_yita_alias_eta(self, capsys, sep_manifest, tmp_path):
         code, _, _ = run_cli(

@@ -12,6 +12,7 @@ from orkmc.datagen import (
     preset,
 )
 from orkmc.errors import ConfigError, UsageError
+from orkmc.model import HyperParams
 
 
 class TestSimSpec:
@@ -40,7 +41,7 @@ class TestGenerate:
         hits = 0
         for seed in range(20):
             data = generate(SimSpec(n=300, k=3, v=1, j=2, separation=10.0, seed=seed))
-            res = kmeans_fit(data, 3, seed=seed)
+            res = kmeans_fit(data, HyperParams(k=3, epsilon=1e-6, seed=seed))
             hits += res.nmi >= 0.99
         assert hits >= 19
 

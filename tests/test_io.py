@@ -129,6 +129,8 @@ class TestManifest:
             ({"view_files": ["v1.csv"], "k_true": -3}, "'k_true'"),
             ({"view_files": ["v1.csv"], "k_true": 0}, "'k_true'"),
             ({"view_files": ["v1.csv"], "k_true": 2.5}, "'k_true'"),
+            ({"view_files": ["v1.csv"], "name": [1, 2]}, "'name' must be a string"),
+            ({"view_files": ["v1.csv"], "name": None}, "'name' must be a string"),
         ],
     )
     def test_malformed_manifest_names_the_key(self, tmp_path, doc, key):

@@ -23,7 +23,7 @@ from orkmc.dataio import RESULT_BLOCK_ROWS, load_result, read_matrix, save_resul
 from orkmc.datagen import SimSpec, generate
 from orkmc.errors import ParseError
 from orkmc.model import AssignmentMatrix, HyperParams
-from orkmc.offline import RkmcConfig, rkmc_fit
+from orkmc.offline import rkmc_fit
 from orkmc.online import orkmc_run
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -200,8 +200,8 @@ def fitted_results():
     assert frozen.metadata["frozen_at"] is not None
     assert streaming.metadata["frozen_at"] is None
     return {
-        "kmeans": kmeans_fit(data, 3, seed=1),
-        "rkmc": rkmc_fit(data, RkmcConfig(HyperParams(k=3, eta=0.5, seed=1))),
+        "kmeans": kmeans_fit(data, HyperParams(k=3, epsilon=1e-6, seed=1)),
+        "rkmc": rkmc_fit(data, HyperParams(k=3, eta=0.5, seed=1)),
         "orkmc-frozen": frozen,
         "orkmc": streaming,
     }

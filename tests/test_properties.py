@@ -15,6 +15,7 @@ the suite gives the same verdict on every run.
 import copy
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from orkmc.baselines import kmeans_fit
 from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
 from orkmc.kernels import KKT_TOL, _active_set, assignment_qp, nnls, solve_ridge_normal
 from orkmc.model import AssignmentMatrix, CenterSet, HyperParams, MultiViewDataset, validate
-from orkmc.offline import RkmcConfig, rkmc_fit, update_M, update_U
+from orkmc.offline import rkmc_fit, update_M, update_U
 from orkmc.online import orkmc_init, orkmc_run, orkmc_step
 
 pytestmark = [
@@ -328,8 +329,8 @@ def test_rkmc_fit_is_row_permutation_equivariant(case):
     # final objective in place, up to a relabelling of the clusters (the two
     # restarts may tie and be kept in either order).
     data, hyper, perm = case
-    res = rkmc_fit(data, RkmcConfig(hyper=hyper))
-    res_p = rkmc_fit(data.take_rows(perm), RkmcConfig(hyper=hyper))
+    res = rkmc_fit(data, hyper)
+    res_p = rkmc_fit(data.take_rows(perm), hyper)
     m, m_p = np.hstack(res.centers.centers), np.hstack(res_p.centers.centers)
     relabel = np.array([np.argmin(((m_p - row) ** 2).sum(axis=1)) for row in m])
     assert sorted(relabel.tolist()) == list(range(hyper.k))
@@ -374,8 +375,9 @@ def test_kmeans_fit_is_row_permutation_equivariant(case):
     # Seeding picks the same data points in any row order, so Lloyd's centers
     # stay in place up to a relabelling and each row keeps its hard label.
     data, hyper, perm = case
-    res = kmeans_fit(data, hyper.k, max_iter=hyper.max_iter, seed=hyper.seed)
-    res_p = kmeans_fit(data.take_rows(perm), hyper.k, max_iter=hyper.max_iter, seed=hyper.seed)
+    hyper = replace(hyper, epsilon=1e-6)
+    res = kmeans_fit(data, hyper)
+    res_p = kmeans_fit(data.take_rows(perm), hyper)
     m, m_p = np.hstack(res.centers.centers), np.hstack(res_p.centers.centers)
     relabel = np.array([np.argmin(((m_p - row) ** 2).sum(axis=1)) for row in m])
     assert sorted(relabel.tolist()) == list(range(hyper.k))

@@ -1,6 +1,7 @@
 """Offline solver: monotonicity, Lloyd reduction, update oracles, determinism."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from orkmc.model import (
     objective_rkmc,
     validate,
 )
-from orkmc.offline import RkmcConfig, rkmc_fit, update_M, update_U
+from orkmc.offline import rkmc_fit, update_M, update_U
 
 
 def random_instance(rng, n_max=60, k_max=4, v_max=3):
@@ -47,38 +48,40 @@ def labels_match_up_to_permutation(a, b):
 class TestRkmcFit:
     def test_two_separated_pairs(self):
         data = MultiViewDataset(views=(np.array([[0.0], [0.1], [10.0], [10.1]]),))
-        cfg = RkmcConfig(hyper=HyperParams(k=2, eta=0.01, seed=0))
-        res = rkmc_fit(data, cfg)
+        res = rkmc_fit(data, HyperParams(k=2, eta=0.01, seed=0))
         assert labels_match_up_to_permutation(res.assignment.hard_labels, [0, 0, 1, 1])
         assert validate(res) == []
 
     def test_k_larger_than_n(self):
         data = MultiViewDataset(views=(np.zeros((2, 1)),))
         with pytest.raises(ConfigError):
-            rkmc_fit(data, RkmcConfig(hyper=HyperParams(k=5)))
+            rkmc_fit(data, HyperParams(k=5))
+
+    def test_unknown_assignment_mode_rejected(self):
+        data = MultiViewDataset(views=(np.arange(8.0).reshape(4, 2),))
+        with pytest.raises(ConfigError, match="assignment must be 'soft' or 'hard'"):
+            rkmc_fit(data, HyperParams(k=2), assignment="lloyd")
 
     def test_initial_centers_with_wrong_k_rejected(self):
         data = MultiViewDataset(views=(np.arange(12.0).reshape(4, 3),))
         centers = CenterSet((np.zeros((4, 3)),))
         with pytest.raises(DimensionError, match="center matrix 0 has shape"):
-            rkmc_fit(data, RkmcConfig(hyper=HyperParams(k=3), initial_centers=centers))
+            rkmc_fit(data, HyperParams(k=3), initial_centers=centers)
 
     def test_initial_centers_with_wrong_features_or_views_rejected(self):
         x = np.arange(12.0).reshape(4, 3)
         data = MultiViewDataset(views=(x, x[:, :2]))
-        cfg = lambda *centers: RkmcConfig(
-            hyper=HyperParams(k=2), initial_centers=CenterSet(centers)
-        )
+        fit = lambda *centers: rkmc_fit(data, HyperParams(k=2), initial_centers=CenterSet(centers))
         with pytest.raises(DimensionError, match="center matrix 1 has shape"):
-            rkmc_fit(data, cfg(np.zeros((2, 3)), np.zeros((2, 3))))
+            fit(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(DimensionError, match="1 center matrices for 2 views"):
-            rkmc_fit(data, cfg(np.zeros((2, 3))))
+            fit(np.zeros((2, 3)))
 
     def test_identical_rows_warn(self):
         data = MultiViewDataset(views=(np.ones((6, 2)),))
         # Every center starts at the same row, so the row QPs are singular.
         with pytest.warns(DataWarning), pytest.warns(RidgeFallbackWarning):
-            rkmc_fit(data, RkmcConfig(hyper=HyperParams(k=2, max_iter=3)))
+            rkmc_fit(data, HyperParams(k=2, max_iter=3))
 
     @pytest.mark.filterwarnings("ignore::orkmc.errors.RidgeFallbackWarning")
     def test_monotone_trace_small_instances(self):
@@ -86,8 +89,7 @@ class TestRkmcFit:
         for eta in (0.0, 0.5, 5.0):
             for _ in range(6):
                 data, k = random_instance(rng)
-                cfg = RkmcConfig(hyper=HyperParams(k=k, eta=eta, max_iter=25, seed=1))
-                res = rkmc_fit(data, cfg)
+                res = rkmc_fit(data, HyperParams(k=k, eta=eta, max_iter=25, seed=1))
                 trace = res.objective_trace
                 skip = set(res.metadata["reseed_steps"])
                 for i in range(1, len(trace)):
@@ -98,9 +100,9 @@ class TestRkmcFit:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         data, k = random_instance(rng)
-        cfg = RkmcConfig(hyper=HyperParams(k=k, eta=0.5, max_iter=15, seed=42))
-        a = rkmc_fit(data, cfg)
-        b = rkmc_fit(data, cfg)
+        hyper = HyperParams(k=k, eta=0.5, max_iter=15, seed=42)
+        a = rkmc_fit(data, hyper)
+        b = rkmc_fit(data, hyper)
         assert np.array_equal(a.assignment.entries, b.assignment.entries)
         assert a.objective_trace == b.objective_trace
         for ma, mb in zip(a.centers.centers, b.centers.centers):
@@ -109,7 +111,7 @@ class TestRkmcFit:
     def test_weights_are_uniform(self):
         rng = np.random.default_rng(6)
         data, k = random_instance(rng, v_max=3)
-        res = rkmc_fit(data, RkmcConfig(hyper=HyperParams(k=k, max_iter=5)))
+        res = rkmc_fit(data, HyperParams(k=k, max_iter=5))
         np.testing.assert_allclose(res.weights, 1.0 / data.n_views)
 
     def test_permutation_equivariance_kmeanspp_init(self):
@@ -118,9 +120,9 @@ class TestRkmcFit:
         data = MultiViewDataset(views=(x,))
         perm = rng.permutation(30)
         data_perm = MultiViewDataset(views=(x[perm],))
-        cfg = RkmcConfig(hyper=HyperParams(k=3, eta=0.5, max_iter=20, seed=9))
-        res = rkmc_fit(data, cfg)
-        res_perm = rkmc_fit(data_perm, cfg)
+        hyper = HyperParams(k=3, eta=0.5, max_iter=20, seed=9)
+        res = rkmc_fit(data, hyper)
+        res_perm = rkmc_fit(data_perm, hyper)
         assert np.array_equal(res.assignment.hard_labels[perm], res_perm.assignment.hard_labels)
 
     def test_permutation_equivariance_explicit_centers(self):
@@ -128,11 +130,9 @@ class TestRkmcFit:
         x = rng.normal(size=(24, 2)) * 2
         centers = CenterSet((x[[0, 5, 11]].copy(),))
         perm = rng.permutation(24)
-        cfg = lambda: RkmcConfig(
-            hyper=HyperParams(k=3, eta=0.5, max_iter=15, seed=0), initial_centers=centers
-        )
-        res = rkmc_fit(MultiViewDataset(views=(x,)), cfg())
-        res_perm = rkmc_fit(MultiViewDataset(views=(x[perm],)), cfg())
+        hyper = HyperParams(k=3, eta=0.5, max_iter=15, seed=0)
+        res = rkmc_fit(MultiViewDataset(views=(x,)), hyper, initial_centers=centers)
+        res_perm = rkmc_fit(MultiViewDataset(views=(x[perm],)), hyper, initial_centers=centers)
         assert np.array_equal(res.assignment.hard_labels[perm], res_perm.assignment.hard_labels)
 
 
@@ -143,17 +143,17 @@ class TestLloydReduction:
             n, k = int(rng.integers(12, 40)), int(rng.integers(2, 5))
             x = rng.normal(size=(n, 2)) * 2.5
             centers0 = x[rng.choice(n, size=k, replace=False)].copy()
-            cfg = RkmcConfig(
-                hyper=HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=12, seed=0),
-                assignment="hard",
-                initial_centers=CenterSet((centers0.copy(),)),
-                track_labels=True,
-            )
-            res = rkmc_fit(MultiViewDataset(views=(x,)), cfg)
-            history = res.metadata["label_history"]
-            reference = oracles.lloyd_reference(x, centers0, len(history))
-            for ours, ref in zip(history, reference):
-                assert ours == ref.tolist()
+            data, start = MultiViewDataset(views=(x,)), CenterSet((centers0.copy(),))
+            hyper = HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=12, seed=0)
+            # Iteration 0 is the first assignment; iteration t ends a fit of t steps.
+            ours = [update_U(data, start, None, hyper.eta, mode="hard").hard_labels]
+            for t in range(1, hyper.max_iter + 1):
+                res = rkmc_fit(data, replace(hyper, max_iter=t), assignment="hard",
+                               initial_centers=start)
+                ours.append(res.assignment.hard_labels)
+            reference = oracles.lloyd_reference(x, centers0, len(ours))
+            for t, (got, want) in enumerate(zip(ours, reference)):
+                assert np.array_equal(got, want), t
 
 
 class TestUpdateU:

@@ -11,7 +11,7 @@ from orkmc.baselines import kmeans_fit
 from orkmc.datagen import SimSpec, generate
 from orkmc.errors import ConfigError
 from orkmc.model import HyperParams
-from orkmc.offline import RkmcConfig, rkmc_fit
+from orkmc.offline import rkmc_fit
 
 
 def duplicate_heavy(rng):
@@ -48,9 +48,9 @@ def test_rng_for_accepts_both_ends_of_the_range():
 def test_a_fit_with_an_out_of_range_seed_is_a_config_error():
     data = generate(SimSpec(n=30, k=2, seed=0))
     with pytest.raises(ConfigError, match="4294967297"):
-        rkmc_fit(data, RkmcConfig(HyperParams(k=2, seed=2**32 + 1)))
+        rkmc_fit(data, HyperParams(k=2, seed=2**32 + 1))
     with pytest.raises(ConfigError, match="4294967297"):
-        kmeans_fit(data, 2, seed=2**32 + 1)
+        kmeans_fit(data, HyperParams(k=2, seed=2**32 + 1))
 
 
 def test_returns_k_distinct_indices():
