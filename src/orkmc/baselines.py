@@ -9,10 +9,11 @@
   streaming sufficient statistics.
 
 Each is called as ``fit(data, hyper)`` with a :class:`~orkmc.model.HyperParams`,
-like the RKMC and ORKMC solvers, and reads only the fields it uses (k, seed,
-and max_iter, epsilon or chushi where the method has them).  Each returns a
-:class:`~orkmc.model.ClusterResult`, built by :func:`~orkmc.model.fit_result`,
-that passes :func:`~orkmc.model.validate`.
+like the RKMC and ORKMC solvers, and reads only the fields its docstring
+lists; none reads ``eta``, ``r`` or ``gamma``.  The online two resolve
+``chushi`` by :func:`~orkmc.model.with_initial_batch`.  Each returns a
+:class:`~orkmc.model.ClusterResult`, built by :func:`~orkmc.model.fit_result`
+and so recording ``hyper``, that passes :func:`~orkmc.model.validate`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     MultiViewDataset,
     fit_result,
     view_residuals,
+    with_initial_batch,
 )
 
 MU_DELTA = 1e-12
@@ -49,13 +51,12 @@ def nearest_center_labels(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def kmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Lloyd K-means on the stacked views; hard one-hot assignments.
 
-    Stops on a label fixpoint, a center change of at most ``hyper.epsilon``,
-    or ``hyper.max_iter``.  Empty clusters are re-seeded at the point farthest
-    from its assigned center, which only lowers the within-cluster SSE.
+    Reads ``hyper.k``, ``seed``, ``epsilon`` and ``max_iter``.  Stops on a
+    label fixpoint, a center change of at most ``epsilon``, or ``max_iter``
+    iterations.  Empty clusters are re-seeded at the point farthest from its
+    assigned center, which only lowers the within-cluster SSE.
     """
     k = hyper.k
-    if k > data.n_samples:
-        raise ConfigError(f"k={k} exceeds the number of samples ({data.n_samples})")
     x = data.stacked()
     t0 = time.perf_counter()
     centers = x[select_initial_rows(x, k, hyper.seed, "kmeans-init")].copy()
@@ -82,8 +83,8 @@ def kmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
             break
     elapsed = time.perf_counter() - t0
     return fit_result(
-        data, one_hot(labels, k), CenterSet.from_stacked(centers, data.feature_counts),
-        trace, elapsed, {"algorithm": "kmeans"},
+        data, hyper, "kmeans", one_hot(labels, k),
+        CenterSet.from_stacked(centers, data.feature_counts), trace, elapsed,
     )
 
 
@@ -141,13 +142,14 @@ def pkmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Power K-means (single view): one MM step per iteration while ``s``
     anneals from ``POWER_S0`` by the factor ``POWER_STEP`` down to
     ``POWER_S_MIN``; as ``s`` grows negative the assignments approach
-    nearest-center.  Stops once ``s`` is at the floor and the centers moved by
-    at most 1e-8, or after ``hyper.max_iter`` steps."""
+    nearest-center.
+
+    Reads ``hyper.k``, ``seed`` and ``max_iter``.  Stops once ``s`` is at the
+    floor and the centers moved by at most a fixed 1e-8 (not ``epsilon``), or
+    after ``max_iter`` steps."""
     k = hyper.k
     if data.n_views != 1:
         raise ConfigError("power K-means is a single-view algorithm")
-    if k > data.n_samples:
-        raise ConfigError(f"k={k} exceeds the number of samples ({data.n_samples})")
     x = data.views[0]
     t0 = time.perf_counter()
     centers = x[select_initial_rows(x, k, hyper.seed, "pkmeans-init")].copy()
@@ -164,30 +166,29 @@ def pkmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     elapsed = time.perf_counter() - t0
     labels = nearest_center_labels(x, centers)
     return fit_result(
-        data, one_hot(labels, k), CenterSet.from_stacked(centers, data.feature_counts),
-        trace, elapsed, {"algorithm": "pkmeans", "final_s": s},
+        data, hyper, "pkmeans", one_hot(labels, k),
+        CenterSet.from_stacked(centers, data.feature_counts), trace, elapsed, {"final_s": s},
     )
 
 
 def ogd_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Online gradient-descent K-means (single view).
 
-    K centers are seeded by kmeans++ from the first ``hyper.chushi`` rows (the
-    first K when it is None), each with count ``n_k = 1``; every other row
-    arrives in order, is labeled by its nearest center, and moves that center
-    by ``(x - center) / (n_k + 1)`` before ``n_k`` grows by one, so each
-    center stays the running mean of the rows it has absorbed.
+    Reads ``hyper.k``, ``seed`` and ``chushi`` (resolved by
+    :func:`~orkmc.model.with_initial_batch`).  K centers are seeded by
+    kmeans++ from the first ``chushi`` rows, each with count ``n_k = 1``;
+    every other row arrives in order, is labeled by its nearest center, and
+    moves that center by ``(x - center) / (n_k + 1)`` before ``n_k`` grows by
+    one, so each center stays the running mean of the rows it has absorbed.
     """
     if data.n_views != 1:
         raise ConfigError("online gradient descent is a single-view algorithm")
-    k = hyper.k
     x = data.views[0]
     n = x.shape[0]
-    chushi = k if hyper.chushi is None else hyper.chushi
-    if not k <= chushi <= n:
-        raise ConfigError(f"need k <= chushi <= n, got k={k}, chushi={chushi}, n={n}")
+    hyper = with_initial_batch(hyper, n)
+    k = hyper.k
     t0 = time.perf_counter()
-    seeds = select_initial_rows(x[:chushi], k, hyper.seed, "ogd-init")
+    seeds = select_initial_rows(x[:hyper.chushi], k, hyper.seed, "ogd-init")
     centers = x[seeds].copy()
     counts = np.ones(k)
     labels = np.zeros(n, dtype=np.intp)
@@ -208,8 +209,8 @@ def ogd_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
         counts[k_star] += 1.0
     elapsed = time.perf_counter() - t0
     return fit_result(
-        data, one_hot(labels, k), CenterSet.from_stacked(centers, data.feature_counts),
-        trace, elapsed, {"algorithm": "ogd"},
+        data, hyper, "ogd", one_hot(labels, k),
+        CenterSet.from_stacked(centers, data.feature_counts), trace, elapsed,
     )
 
 
@@ -236,21 +237,18 @@ def _normalize_rows(u: np.ndarray) -> np.ndarray:
 def omu_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Online multiplicative-update NMF clustering.
 
-    Negative inputs are min-shifted per view (flagged).  The first
-    ``hyper.chushi`` rows (all of them when it is None) are fitted as a batch
-    with ``hyper.max_iter`` rounds of alternating multiplicative updates; each
-    later arrival gets its own row updates against the current centers, and the
+    Reads ``hyper.k``, ``seed``, ``max_iter`` and ``chushi`` (resolved by
+    :func:`~orkmc.model.with_initial_batch`).  Negative inputs are min-shifted
+    per view (flagged).  The first ``chushi`` rows are fitted as a batch with
+    ``max_iter`` rounds of alternating multiplicative updates; each later
+    arrival gets its own row updates against the current centers, and the
     centers follow via streaming U'X / U'U accumulators.  Assignment rows are
     renormalized to the simplex when the result is assembled, keeping the
     batch iterations on the plain multiplicative descent path.
     """
-    k, max_iter = hyper.k, hyper.max_iter
-    if k > data.n_samples:
-        raise ConfigError(f"k={k} exceeds the number of samples ({data.n_samples})")
     n = data.n_samples
-    chushi = n if hyper.chushi is None else hyper.chushi
-    if not k <= chushi <= n:
-        raise ConfigError(f"need k <= chushi <= n, got k={k}, chushi={chushi}, n={n}")
+    hyper = with_initial_batch(hyper, n)
+    k, max_iter, chushi = hyper.k, hyper.max_iter, hyper.chushi
 
     shifts = []
     views = []
@@ -307,6 +305,5 @@ def omu_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
 
     centers = CenterSet(tuple(center_mats), nonneg_enforced=True)
     return fit_result(
-        data, np.vstack(rows), centers, trace, elapsed,
-        {"algorithm": "omu", "min_shift": shifts, "chushi": int(chushi)},
+        data, hyper, "omu", np.vstack(rows), centers, trace, elapsed, {"min_shift": shifts},
     )

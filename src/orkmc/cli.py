@@ -38,7 +38,7 @@ import numpy as np
 
 from . import baselines, dataio, datagen, metrics
 from .errors import OrkmcError, UsageError
-from .model import ClusterResult, HyperParams, MultiViewDataset
+from .model import ClusterResult, HyperParams, MultiViewDataset, with_initial_batch
 from .offline import rkmc_fit
 from .online import orkmc_run
 
@@ -65,12 +65,6 @@ def _hyper_from_args(args) -> HyperParams:
         chushi=args.chushi,
         seed=args.seed,
     )
-
-
-def _with_default_chushi(hyper: HyperParams, algo: str, n_samples: int) -> HyperParams:
-    if hyper.chushi is None and algo in ("orkmc", "ogd", "omu"):
-        return replace(hyper, chushi=max(hyper.k, n_samples // 10))
-    return hyper
 
 
 def _run_algorithm(algo: str, data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
@@ -112,7 +106,6 @@ def _summary_line(algo: str, data: MultiViewDataset, result: ClusterResult) -> s
 def cmd_fit(args) -> int:
     hyper = _hyper_from_args(args)
     data = dataio.load(dataio.DatasetManifest.read(args.data))
-    hyper = _with_default_chushi(hyper, args.algo, data.n_samples)
     result = _run_algorithm(args.algo, data, hyper)
     dataio.save_result(result, args.out)
     print(_summary_line(args.algo, data, result))
@@ -124,7 +117,7 @@ def cmd_stream(args) -> int:
         raise UsageError(f"--emit-every must be >= 1, got {args.emit_every}")
     hyper = _hyper_from_args(args)
     data = dataio.load(dataio.DatasetManifest.read(args.data))
-    hyper = _with_default_chushi(hyper, args.algo, data.n_samples)
+    hyper = with_initial_batch(hyper, data.n_samples)
     n = data.n_samples
     chushi = hyper.chushi
     alpha_header = ",".join(f"alpha_{v + 1}" for v in range(data.n_views))
@@ -288,18 +281,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_fit_flags(p, algos=ALGORITHMS):
         p.add_argument("--algo", required=True, choices=algos)
         p.add_argument("--data", required=True, help="dataset manifest (JSON)")
-        p.add_argument("--k", required=True, type=int, help="number of clusters")
+        p.add_argument("--k", required=True, type=int, help="number of clusters (all)")
         p.add_argument("--yita", "--eta", dest="yita", type=float, default=HyperParams.eta,
-                       help="regularization strength")
-        p.add_argument("--r", type=float, default=HyperParams.r, help="balance exponent")
+                       help="regularization strength (rkmc, orkmc)")
+        p.add_argument("--r", type=float, default=HyperParams.r,
+                       help="view-weight balance exponent (orkmc)")
         p.add_argument("--gamma", type=float, default=None,
-                       help="gradient step length (default: automatic)")
+                       help="gradient step length (orkmc; default: automatic)")
         p.add_argument("--epsilon", type=float, default=HyperParams.epsilon,
-                       help="stop threshold")
+                       help="stop threshold (rkmc, orkmc, kmeans)")
         p.add_argument("--chushi", "--init-size", dest="chushi", type=int, default=None,
-                       help="initial batch size for the online solvers")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=HyperParams.max_iter)
-        p.add_argument("--seed", type=int, default=HyperParams.seed)
+                       help="initial batch size (orkmc, ogd, omu; default: max(k, n // 10))")
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=HyperParams.max_iter,
+                       help="iteration cap (rkmc, orkmc, kmeans, pkmeans, omu)")
+        p.add_argument("--seed", type=int, default=HyperParams.seed, help="random seed (all)")
         p.add_argument("--out", required=True, help="result JSON path")
 
     p_fit = sub.add_parser("fit", help="run one solver on a dataset")

@@ -60,7 +60,7 @@ import numpy as np
 from .errors import ConvergenceWarning, DimensionError, RidgeFallbackWarning, ValidationError
 
 RIDGE_DELTA = 1e-10
-# Default multiplier tolerance of the exact solvers' KKT conditions.
+# Multiplier tolerance of the exact solvers' KKT conditions.
 KKT_TOL = 1e-10
 # The active-set kernel gives up (with a ConvergenceWarning) after this many
 # rounds per coordinate; exact termination takes far fewer.
@@ -211,7 +211,7 @@ def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int, ridge: bool) -> np.ndar
     return z.T if kkt.ndim == 2 else z[..., 0]
 
 
-def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol: float) -> np.ndarray:
+def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> np.ndarray:
     """Batched primal active-set solve of ``argmin 1/2 x' A x - b_i' x`` over
     ``x >= 0`` (and ``sum(x) = 1`` when ``simplex``) for every row ``b_i`` of
     ``b``; all rows share the symmetric PSD ``A``.
@@ -229,7 +229,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
     A row whose solution leaves the orthant steps back to the first blocking
     coordinate and fixes it at zero (Lawson-Hanson interpolation); a row at
     its face optimum frees its most negative multiplier, or stops once every
-    multiplier is at least ``-tol`` (widened to the rounding level of the
+    multiplier is at least ``-KKT_TOL`` (widened to the rounding level of the
     data).  Every round is a descent step, so no row ends above its start.
     When :func:`_singular` finds ``A`` singular (duplicate centers at eta = 0,
     identical Gram columns), every system of the call takes the ridge rule
@@ -251,7 +251,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool, tol
     if simplex:
         base[:k, k] = base[k, :k] = 1.0
     scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    tol = max(tol, 1e3 * np.finfo(float).eps * scale)
+    tol = max(KKT_TOL, 1e3 * np.finfo(float).eps * scale)
     pending = np.ones(n, dtype=bool)
     for _ in range(MAX_ROUNDS_PER_DIM * (k + 1)):
         rows = np.flatnonzero(pending)
@@ -334,14 +334,14 @@ def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(cf.T, y)
 
 
-def nnls(a, b, tol: float = KKT_TOL, start=None) -> np.ndarray:
+def nnls(a, b, start=None) -> np.ndarray:
     """Solve ``argmin_{m >= 0} ||A m - b||^2`` for a 1-D ``b``, or for every
     column of a 2-D ``b`` (the result then has one column per column of ``b``).
 
     All columns share the Gram matrix ``A'A`` and are solved together by the
     batched active-set kernel, warm-started from ``start`` (same shape as the
     result, nonnegative; zeros by default).  At the solution ``m >= 0``,
-    ``g = A'(A m - b) >= -tol`` and ``g = 0`` wherever ``m > 0``.  When
+    ``g = A'(A m - b) >= -KKT_TOL`` and ``g = 0`` wherever ``m > 0``.  When
     ``_singular`` finds ``A'A`` singular (identical columns of ``A``), every
     system of the call takes the ``RIDGE_DELTA`` rule and one
     :class:`RidgeFallbackWarning` is emitted.
@@ -360,7 +360,7 @@ def nnls(a, b, tol: float = KKT_TOL, start=None) -> np.ndarray:
         raise ValidationError(f"nnls start must be nonnegative with shape {shape}")
     cols = b.reshape(b.shape[0], -1)
     x0 = x0.reshape(a.shape[1], -1).T
-    return _active_set(a.T @ a, (a.T @ cols).T, x0, False, tol).T.reshape(shape)
+    return _active_set(a.T @ a, (a.T @ cols).T, x0, False).T.reshape(shape)
 
 
 def sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

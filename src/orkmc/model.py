@@ -11,8 +11,9 @@ The solvers all speak in terms of these types:
   plain simplex vector alpha, and the balance exponent r lives only in
   :class:`HyperParams`.
 
-Every solver builds its result with :func:`fit_result`, and
-:func:`objective_rkmc` is :func:`objective_online` with unit view weights.
+Every solver builds its result with :func:`fit_result`, which records the
+``HyperParams`` that made it, and :func:`objective_rkmc` is
+:func:`objective_online` with unit view weights.
 
 ``MultiViewDataset`` validates eagerly (bad data should fail at the door);
 the result-side types are cheap containers whose numeric invariants are checked
@@ -21,7 +22,7 @@ by :func:`validate`, which reports violations instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -105,11 +106,6 @@ class MultiViewDataset:
         return MultiViewDataset(views=(self.views[v],), labels=self.labels, name=self.name)
 
 
-def hard_labels_of(u: np.ndarray) -> np.ndarray:
-    """Row argmax with lowest-index tie-break."""
-    return np.argmax(u, axis=1)
-
-
 @dataclass(frozen=True)
 class AssignmentMatrix:
     """N x K nonnegative soft assignments; rows sum to one.
@@ -124,7 +120,7 @@ class AssignmentMatrix:
     def __post_init__(self):
         u = _as_matrix(self.entries, "assignment matrix")
         object.__setattr__(self, "entries", u)
-        object.__setattr__(self, "hard_labels", hard_labels_of(u))
+        object.__setattr__(self, "hard_labels", np.argmax(u, axis=1))
 
     @property
     def n(self) -> int:
@@ -167,9 +163,10 @@ class HyperParams:
 
     ``gamma=None`` selects an automatic per-row step length (the inverse of
     the largest eigenvalue of the row Hessian); an explicit positive value is
-    used verbatim.  ``chushi`` is the initial batch size and only meaningful
-    for the online solvers.  ``r`` is the view-weight balance exponent: the
-    online objective weights view v by ``alpha_v ** r``.
+    used verbatim.  ``chushi`` is the initial batch size of the online
+    solvers (orkmc, ogd, omu); ``None`` means ``max(k, n // 10)`` of n
+    samples (:func:`with_initial_batch`).  ``r`` is the view-weight balance
+    exponent: the online objective weights view v by ``alpha_v ** r``.
     """
 
     k: int
@@ -236,13 +233,29 @@ class ClusterResult:
     metadata: dict = field(default_factory=dict)
 
 
+def with_initial_batch(hyper: HyperParams, n: int) -> HyperParams:
+    """``hyper`` with the online solvers' initial batch size resolved for
+    ``n`` samples: ``chushi`` when it is set, else ``max(k, n // 10)``.  A
+    batch of more than ``n`` rows is a :class:`ConfigError`."""
+    chushi = max(hyper.k, n // 10) if hyper.chushi is None else hyper.chushi
+    if chushi > n:
+        raise ConfigError(f"chushi={chushi} exceeds the sample count {n} (k={hyper.k})")
+    return replace(hyper, chushi=chushi)
+
+
 def fit_result(
-    data: MultiViewDataset, u: np.ndarray, centers: CenterSet, trace, elapsed: float,
-    metadata: dict, weights: Optional[np.ndarray] = None,
+    data: MultiViewDataset, hyper: HyperParams, algorithm: str, u: np.ndarray,
+    centers: CenterSet, trace, elapsed: float, metadata: Optional[dict] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> ClusterResult:
     """The result of every fit of ``data``: ``u`` wrapped as an
     :class:`AssignmentMatrix`, the NMI of its hard labels when ``data`` has
-    labels, and uniform 1/V view weights unless ``weights`` is given."""
+    labels, and uniform 1/V view weights unless ``weights`` is given.
+
+    Its metadata is ``{"algorithm": algorithm, "hyper": hyper.as_dict()}``
+    followed by the solver's own ``metadata`` entries, so every result
+    records the hyperparameters that made it (the online solvers pass
+    ``hyper`` with ``chushi`` resolved by :func:`with_initial_batch`)."""
     assignment = AssignmentMatrix(u)
     score = None
     if data.labels is not None:
@@ -256,7 +269,7 @@ def fit_result(
         objective_trace=tuple(trace),
         elapsed_seconds=elapsed,
         nmi=score,
-        metadata=metadata,
+        metadata={"algorithm": algorithm, "hyper": hyper.as_dict(), **(metadata or {})},
     )
 
 
@@ -352,7 +365,7 @@ def _check_rows(entries: np.ndarray, out: list) -> None:
 
 def _check_assignment(u: AssignmentMatrix, out: list) -> None:
     _check_rows(u.entries, out)
-    derived = hard_labels_of(u.entries)
+    derived = np.argmax(u.entries, axis=1)
     for i in np.flatnonzero(derived != np.asarray(u.hard_labels)):
         out.append(("hard-labels", int(i)))
 

@@ -35,7 +35,6 @@ import numpy as np
 from ._util import select_initial_rows
 from .errors import ConfigError, DataWarning, DegenerateClusterWarning
 from .kernels import (
-    KKT_TOL,
     _active_set,
     _pgd_rows,
     assignment_qp,
@@ -93,7 +92,7 @@ def update_U(
     h, c = assignment_qp(data.views, m.centers, np.ones(data.n_views), eta)
     start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev.entries
     u, _, _ = _pgd_rows(start, h, c, pg_step(h), FACE_SWEEPS)
-    return AssignmentMatrix(_active_set(h, c, u, True, KKT_TOL))
+    return AssignmentMatrix(_active_set(h, c, u, True))
 
 
 def update_M(
@@ -231,8 +230,6 @@ def rkmc_fit(
     elapsed = time.perf_counter() - t0
 
     metadata = {
-        "algorithm": "rkmc",
-        "hyper": hyper.as_dict(),
         "assignment": assignment,
         "n_restarts": N_RESTARTS,
         "restart_used": restart_used,
@@ -240,4 +237,6 @@ def rkmc_fit(
         "reseed_steps": list(best["reseed_steps"]),
         "converged": best["converged"],
     }
-    return fit_result(data, best["u"].entries, best["m"], best["trace"], elapsed, metadata)
+    return fit_result(
+        data, hyper, "rkmc", best["u"].entries, best["m"], best["trace"], elapsed, metadata
+    )

@@ -1,6 +1,7 @@
 """Online regularized K-means for streaming multi-view data.
 
-The solver warm-starts on an initial batch of ``chushi`` samples, then
+The solver warm-starts on the first ``chushi`` samples (``max(k, n // 10)``
+of n when ``chushi`` is None, :func:`~orkmc.model.with_initial_batch`), then
 consumes arrivals one at a time: the new sample's assignment row is obtained
 by a few projected-gradient steps on its simplex-constrained QP, the winning
 cluster's centers move by a counts-weighted running mean, and the view-weight
@@ -25,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._util import select_initial_rows
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .kernels import _pgd_rows, assignment_qp, cluster_means, data_nonneg, pg_step
 from .model import (
     CenterSet,
@@ -35,6 +36,7 @@ from .model import (
     _sq_norm,
     fit_result,
     view_residuals,
+    with_initial_batch,
 )
 
 DEFAULT_N_GRAD = 10
@@ -109,38 +111,33 @@ def _row_qp(state: OnlineState, xs) -> tuple:
     return h, c, step
 
 
-def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState:
-    """Warm-start on the initial batch.
+def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
+    """Warm-start on the initial batch: the first ``chushi`` rows of ``data``,
+    as resolved by :func:`~orkmc.model.with_initial_batch` (the state keeps
+    the resolved ``hyper``).
 
-    Centers are seeded by kmeans++ at K distinct prefix rows
+    Centers are seeded by kmeans++ at K distinct batch rows
     (:func:`~orkmc._util.select_initial_rows`) and the view weights start
-    uniform at 1/V.  Up to ``max_iter`` times, every prefix row gets the
+    uniform at 1/V.  Up to ``max_iter`` times, every batch row gets the
     assignment update (from the uniform row, ``min(DEFAULT_N_GRAD, max_iter)``
     sweeps) that arrivals get, and each center moves to the mean of its
     hard-labelled rows, until no center moved by more than ``epsilon``.
     ``counts`` is the final label histogram.
     """
-    k = hyper.k
-    t0 = data_prefix.n_samples
-    if t0 < k:
-        raise ConfigError(f"initial batch has {t0} rows; need chushi >= k ({k})")
-    if hyper.chushi is not None and hyper.chushi != t0:
-        raise ConfigError(
-            f"prefix has {t0} rows but chushi={hyper.chushi}"
-        )
+    hyper = with_initial_batch(hyper, data.n_samples)
+    k, t0 = hyper.k, hyper.chushi
+    views = tuple(x[:t0] for x in data.views)
     n_grad = min(DEFAULT_N_GRAD, hyper.max_iter)
-    nonneg = data_nonneg(data_prefix.views)
-    idx = select_initial_rows(data_prefix.stacked(), k, hyper.seed, "orkmc-init")
-    centers = CenterSet(
-        tuple(x[idx].copy() for x in data_prefix.views), nonneg_enforced=nonneg
-    )
+    nonneg = data_nonneg(views)
+    idx = select_initial_rows(np.hstack(views), k, hyper.seed, "orkmc-init")
+    centers = CenterSet(tuple(x[idx].copy() for x in views), nonneg_enforced=nonneg)
     state = OnlineState(
         hyper=hyper,
         U_rows=[],
         centers=centers,
-        weights=np.full(data_prefix.n_views, 1.0 / data_prefix.n_views),
+        weights=np.full(data.n_views, 1.0 / data.n_views),
         counts=np.zeros(k, dtype=np.int64),
-        resid_sums=np.zeros(data_prefix.n_views),
+        resid_sums=np.zeros(data.n_views),
         u_sq_sum=0.0,
         n_grad=n_grad,
     )
@@ -150,11 +147,11 @@ def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState
     u = np.full((t0, k), 1.0 / k)
     hard = np.zeros(t0, dtype=np.intp)
     for _ in range(hyper.max_iter):
-        h, c, step = _row_qp(state, data_prefix.views)
+        h, c, step = _row_qp(state, views)
         u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, n_grad)
         hard = np.argmax(u, axis=1)
         drift = 0.0
-        for x, mv in zip(data_prefix.views, centers.centers):
+        for x, mv in zip(views, centers.centers):
             means = cluster_means(x, hard, k, mv)
             drift = max(drift, *(float(np.linalg.norm(d)) for d in means - mv))
             mv[:] = means
@@ -162,7 +159,7 @@ def orkmc_init(data_prefix: MultiViewDataset, hyper: HyperParams) -> OnlineState
             break
 
     state.counts = np.bincount(hard, minlength=k).astype(np.int64)
-    state.resid_sums = view_residuals(data_prefix.views, u, centers.centers)
+    state.resid_sums = view_residuals(views, u, centers.centers)
     state.u_sq_sum = _sq_norm(u)
     state.U_rows = [u[i] for i in range(t0)]
     return state
@@ -233,23 +230,18 @@ def orkmc_run(
 ) -> ClusterResult:
     """Stream the dataset through the online solver in arrival order.
 
-    Rows ``1..chushi`` form the warm-start batch (:func:`orkmc_init`); every
-    later row is one :func:`orkmc_step`, which also decides the freeze.
-    ``progress`` is called as ``progress(t, objective, alpha)`` after the warm
-    start and after every arrival.
+    Rows ``1..chushi`` form the warm-start batch (:func:`orkmc_init`, which
+    resolves ``chushi``); every later row is one :func:`orkmc_step`, which
+    also decides the freeze.  ``progress`` is called as
+    ``progress(t, objective, alpha)`` after the warm start and after every
+    arrival.
     """
-    if hyper.chushi is None:
-        raise ConfigError("the online solver requires chushi (initial batch size)")
-    n = data.n_samples
-    if hyper.chushi > n:
-        raise ConfigError(f"chushi={hyper.chushi} exceeds the sample count {n}")
-
     t_start = time.perf_counter()
-    state = orkmc_init(data.take_rows(np.arange(hyper.chushi)), hyper)
+    state = orkmc_init(data, hyper)
     trace = [state.surrogate_objective()]
     if progress is not None:
         progress(state.t, trace[-1], state.weights.copy())
-    for row in range(hyper.chushi, n):
+    for row in range(state.t, data.n_samples):
         orkmc_step(state, [x[row] for x in data.views])
         trace.append(state.surrogate_objective())
         if progress is not None:
@@ -257,12 +249,11 @@ def orkmc_run(
     elapsed = time.perf_counter() - t_start
 
     metadata = {
-        "algorithm": "orkmc",
-        "hyper": hyper.as_dict(),
         "n_grad": state.n_grad,
         "frozen_at": state.frozen_at,
         "counts": state.counts.tolist(),
     }
     return fit_result(
-        data, np.array(state.U_rows), state.centers, trace, elapsed, metadata, state.weights
+        data, state.hyper, "orkmc", np.array(state.U_rows), state.centers, trace, elapsed,
+        metadata, state.weights,
     )

@@ -148,7 +148,7 @@ def _restart_margin(data, seed) -> float:
 
 def _freeze_margin(data, hyper) -> float:
     """Smallest ``|drift - epsilon| / epsilon`` over the moving ORKMC arrivals."""
-    state = orkmc_init(data.take_rows(np.arange(hyper.chushi)), hyper)
+    state = orkmc_init(data, hyper)
     margin = np.inf
     for row in range(hyper.chushi, data.n_samples):
         if state.frozen_at is not None:

@@ -230,7 +230,7 @@ def test_c08_kernel_oracles():
             b = rng.normal(size=(k, k))
             h = b @ b.T + 2.0 * float(rng.uniform(0.05, 2.0)) * np.eye(k)
             c = rng.normal(size=k) * 2
-            u = _active_set(h, c[None], np.full((1, k), 1.0 / k), True, 1e-12)[0]
+            u = _active_set(h, c[None], np.full((1, k), 1.0 / k), True)[0]
             _, val_ref = oracles.row_qp_enum(h, c)
             assert 0.5 * u @ h @ u - c @ u == pytest.approx(val_ref, abs=1e-8)
         for _ in range(500):

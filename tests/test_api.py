@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,14 @@ def test_every_solver_is_called_with_data_and_hyper(name):
     assert list(params)[:2] == ["data", "hyper"]
     x = orkmc.generate(orkmc.SimSpec(n=40, k=3, v=1, j=2, seed=1)).views[0]
     data = orkmc.MultiViewDataset(views=(x - x.min(),))
-    assert orkmc.validate(fit(data, orkmc.HyperParams(k=3, chushi=10, seed=1))) == []
+    hyper = orkmc.HyperParams(k=3, chushi=10, seed=1)
+    result = fit(data, hyper)
+    assert orkmc.validate(result) == []
+    assert result.metadata["algorithm"] == name.split("_")[0]
+    assert result.metadata["hyper"] == hyper.as_dict()
+    # Unset, the online solvers' chushi is recorded as max(k, n // 10) = 4.
+    unset = replace(hyper, chushi=None)
+    want = replace(unset, chushi=4) if name in ("orkmc_run", "ogd_fit", "omu_fit") else unset
+    assert fit(data, unset).metadata["hyper"] == want.as_dict()
     with pytest.raises(errors.ConfigError):
         fit(data, orkmc.HyperParams(k=41, chushi=41))

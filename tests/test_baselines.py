@@ -191,7 +191,7 @@ class TestOmu:
         rng = np.random.default_rng(11)
         x = np.abs(rng.normal(size=(20, 4)))
         data = MultiViewDataset(views=(x,))
-        res = omu_fit(data, HyperParams(k=2, max_iter=50, seed=0))
+        res = omu_fit(data, HyperParams(k=2, max_iter=50, chushi=20, seed=0))
         trace = res.objective_trace
         assert len(trace) == 50
         for i in range(1, len(trace)):
@@ -202,7 +202,7 @@ class TestOmu:
         x = rng.normal(size=(10, 2))
         data = MultiViewDataset(views=(x,))
         with pytest.warns(UserWarning, match="min-shift"):
-            res = omu_fit(data, HyperParams(k=2, max_iter=5, seed=0))
+            res = omu_fit(data, HyperParams(k=2, max_iter=5, chushi=10, seed=0))
         assert res.metadata["min_shift"][0] > 0
 
     def test_streaming_rows_are_simplex(self):

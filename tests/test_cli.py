@@ -221,6 +221,19 @@ class TestStream:
         lines = [l for l in out.strip().splitlines() if not l.startswith("orkmc")]
         assert len(lines) == 2  # header + init row
 
+    def test_chushi_above_n_fails_before_any_output(self, capsys, tmp_path):
+        data = generate(SimSpec(n=50, k=3, v=1, j=2, seed=1))
+        manifest = save_dataset(data, tmp_path / "ds")
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli(
+            capsys, "stream", "--algo", "orkmc", "--data", manifest, "--k", "3",
+            "--chushi", "5000", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "chushi=5000 exceeds the sample count 50" in err
+        assert not out_path.exists()
+
 
 class TestEval:
     def write_labels(self, path, labels):

@@ -17,6 +17,7 @@ from orkmc.model import (
     objective_rkmc,
     validate,
     view_residuals,
+    with_initial_batch,
 )
 
 
@@ -74,6 +75,20 @@ class TestHyperParams:
         with pytest.raises(ConfigError):
             HyperParams(k=5, chushi=3)
         HyperParams(k=5, chushi=5)
+
+    @pytest.mark.parametrize(
+        "k, chushi, n, want",
+        [(3, None, 100, 10), (5, None, 40, 5), (3, 7, 100, 7), (3, 40, 40, 40)],
+    )
+    def test_with_initial_batch(self, k, chushi, n, want):
+        # None is max(k, n // 10): n // 10 when it is larger, else k.
+        hyper = HyperParams(k=k, chushi=chushi, seed=4)
+        assert with_initial_batch(hyper, n) == HyperParams(k=k, chushi=want, seed=4)
+
+    @pytest.mark.parametrize("k, chushi, n", [(3, 41, 40), (5, None, 4)])
+    def test_initial_batch_beyond_n_is_rejected(self, k, chushi, n):
+        with pytest.raises(ConfigError, match="exceeds the sample count"):
+            with_initial_batch(HyperParams(k=k, chushi=chushi), n)
 
 
 class TestObjectiveRkmc:

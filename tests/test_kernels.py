@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from orkmc.errors import RidgeFallbackWarning, ValidationError
 from orkmc.kernels import (
-    KKT_TOL,
     _active_set,
     _project,
     _solve_kkt,
@@ -29,9 +28,9 @@ def random_pd_qp(rng, k):
     return h, c
 
 
-def solve_row(h, c, u0, tol=KKT_TOL):
+def solve_row(h, c, u0):
     """One row QP ``min 1/2 u'Hu - c'u`` over the simplex, from ``u0``."""
-    return _active_set(h, c[None], u0[None], True, tol)[0]
+    return _active_set(h, c[None], u0[None], True)[0]
 
 
 class TestProjectSimplex:
@@ -133,7 +132,7 @@ class TestSolveRowQP:
         rng = np.random.default_rng(3)
         for _ in range(200):
             h, c = random_pd_qp(rng, 3)
-            u = solve_row(h, c, np.full(3, 1 / 3), tol=1e-12)
+            u = solve_row(h, c, np.full(3, 1 / 3))
             u_ref, val_ref = oracles.row_qp_enum(h, c)
             val = 0.5 * u @ h @ u - c @ u
             assert val == pytest.approx(val_ref, abs=1e-8)
@@ -143,7 +142,7 @@ class TestSolveRowQP:
         rng = np.random.default_rng(4)
         for _ in range(100):
             h, c = random_pd_qp(rng, 4)
-            u = solve_row(h, c, np.full(4, 0.25), tol=1e-11)
+            u = solve_row(h, c, np.full(4, 0.25))
             val = 0.5 * u @ h @ u - c @ u
             pts = rng.dirichlet(np.ones(4), size=100)
             vals = 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts) - pts @ c
@@ -154,7 +153,7 @@ class TestSolveRowQP:
         for _ in range(100):
             h, c = random_pd_qp(rng, 3)
             u0 = rng.dirichlet(np.ones(3))
-            u = solve_row(h, c, u0, tol=1e-10)
+            u = solve_row(h, c, u0)
             f = lambda v: 0.5 * v @ h @ v - c @ v
             assert f(u) <= f(u0) + 1e-12
 
@@ -198,7 +197,7 @@ class TestRidgeFallback:
             b = a @ rng.uniform(1.0, 2.0, size=k)
             want = np.linalg.solve(a, b[:, None])[:, 0]
             assert np.all(want > 0.0)
-            x = _active_set(a, b[None], np.ones((1, k)), False, KKT_TOL)[0]
+            x = _active_set(a, b[None], np.ones((1, k)), False)[0]
             np.testing.assert_array_equal(x, want)
             u = rng.uniform(0.5, 1.5, size=k)
             c = a @ (u / u.sum()) + 0.3
@@ -216,7 +215,7 @@ class TestRidgeFallback:
         assert np.linalg.matrix_rank(h) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u = _active_set(h, c, np.full((3, 2), 0.5), True, KKT_TOL)
+            u = _active_set(h, c, np.full((3, 2), 0.5), True)
         for row, ci in zip(u, c):
             assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-12
 
@@ -227,7 +226,7 @@ class TestRidgeFallback:
         x = np.array([[0.9, 0.3], [0.2, 1.5], [2.0, -1.0]])
         h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
         with pytest.warns(RidgeFallbackWarning):
-            u = _active_set(h, c, np.full((3, 3), 1.0 / 3.0), True, KKT_TOL)
+            u = _active_set(h, c, np.full((3, 3), 1.0 / 3.0), True)
         assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
         np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         for row, ci in zip(u, c):
@@ -248,7 +247,7 @@ class TestNnls:
         for _ in range(100):
             a = rng.normal(size=(5, 3))
             b = rng.normal(size=5)
-            x = nnls(a, b, tol=1e-8)
+            x = nnls(a, b)
             g = a.T @ (a @ x - b)
             assert np.all(x >= 0)
             assert np.all(g >= -1e-8)

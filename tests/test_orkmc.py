@@ -261,7 +261,7 @@ class TestRun:
         rng = np.random.default_rng(13)
         x, _ = separated_rows(rng, 200, 3)
         data = MultiViewDataset(views=(x,))
-        state = orkmc_init(data.take_rows(np.arange(50)), HyperParams(k=3, chushi=50))
+        state = orkmc_init(data, HyperParams(k=3, chushi=50))
         sweeps = []
         pgd_rows = online._pgd_rows
 
@@ -285,7 +285,7 @@ class TestRun:
         frozen_at = res.metadata["frozen_at"]
         assert frozen_at is not None and frozen_at < 250
 
-        state = copy.deepcopy(orkmc_init(data.take_rows(np.arange(40)), hyper))
+        state = copy.deepcopy(orkmc_init(data, hyper))
         assert state.frozen_at is None
         first_small = None
         frozen = None
@@ -318,7 +318,7 @@ class TestRun:
         rng = np.random.default_rng(14)
         x, _ = separated_rows(rng, 120, 3)
         data = MultiViewDataset(views=(x,))
-        state = orkmc_init(data.take_rows(np.arange(40)), HyperParams(k=3, chushi=40))
+        state = orkmc_init(data, HyperParams(k=3, chushi=40))
         for i in range(40, 120):
             orkmc_step(state, [x[i]])
         k, j, v, t = 3, 2, 1, state.t
@@ -332,6 +332,8 @@ class TestRun:
         assert stored == k * j * v + t * k + k + v + v
 
     def test_missing_chushi(self):
+        # chushi=None warms up on max(k, n // 10) rows; more than n is an error.
         data = MultiViewDataset(views=(np.zeros((4, 1)),))
+        assert orkmc_run(data, HyperParams(k=1)).metadata["hyper"]["chushi"] == 1
         with pytest.raises(ConfigError):
-            orkmc_run(data, HyperParams(k=1))
+            orkmc_run(data, HyperParams(k=1, chushi=5))

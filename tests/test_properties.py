@@ -74,7 +74,7 @@ def centers_and_rows(draw):
 def test_simplex_kernel_meets_kkt(case):
     m, x, eta, start = case
     h, c = assignment_qp((x,), (m,), np.ones(1), eta)
-    u = _active_set(h, c, start, True, 1e-10)
+    u = _active_set(h, c, start, True)
     _assert_rows_kkt(h, c, u)
     f = lambda v: np.einsum("ij,jk,ik->i", v, h, v) / 2 - np.einsum("ij,ij->i", c, v)
     assert np.all(f(u) <= f(start) + 1e-9 * max(1.0, np.abs(h).max(), np.abs(c).max()))
@@ -140,7 +140,7 @@ def test_full_support_split_matches_the_stacked_kernel(case):
     a, b, x0, simplex, singular = case
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
-        x = _active_set(a, b, x0, simplex, KKT_TOL)
+        x = _active_set(a, b, x0, simplex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RidgeFallbackWarning)
         ref = oracles.active_set_stacked(a, b, x0, simplex, KKT_TOL)
@@ -182,7 +182,7 @@ def singular_problems(draw):
         m[1 : draw(st.integers(1, k - 1)) + 1] = m[0]
         h, c = assignment_qp((rng.normal(size=(n, m.shape[1])) * 3,), (m,), np.ones(1), 0.0)
         start = _start(rng, draw(st.sampled_from(["vertex", "interior", "uniform"])), n, k)
-        return "simplex", h, c, lambda: _active_set(h, c, start, True, KKT_TOL)
+        return "simplex", h, c, lambda: _active_set(h, c, start, True)
     if kind == "gram":
         k = draw(st.integers(2, 12))
         a = rng.normal(size=(draw(st.integers(1, k + 8)), k))
@@ -218,7 +218,7 @@ def singular_problems(draw):
         rhs = a @ b.T  # consistent
         return form, a, rhs, lambda: solve_ridge_normal(a, rhs)
     start = np.full((n, 2), 0.5)
-    return form, a, b, lambda: _active_set(a, b, start, form == "simplex", KKT_TOL)
+    return form, a, b, lambda: _active_set(a, b, start, form == "simplex")
 
 
 @PROPERTY
@@ -353,6 +353,7 @@ def test_orkmc_init_is_row_permutation_equivariant(case):
     # relabelling of the clusters.  Two clusters may end on one center, so
     # the relabelling is searched over all K! candidates (K <= 4).
     data, hyper, perm = case
+    hyper = replace(hyper, chushi=data.n_samples)
     state = orkmc_init(data, hyper)
     state_p = orkmc_init(data.take_rows(perm), hyper)
     m, m_p = np.hstack(state.centers.centers), np.hstack(state_p.centers.centers)
@@ -424,7 +425,7 @@ def test_orkmc_centers_stay_nonneg_without_clamping(case):
     assert all(np.all(m >= 0.0) for m in res.centers.centers)
     assert validate(res) == []
 
-    state = orkmc_init(data.take_rows(np.arange(hyper.chushi)), hyper)
+    state = orkmc_init(data, hyper)
     assert state.centers.nonneg_enforced
     free = copy.deepcopy(state)
     free.centers = CenterSet(free.centers.centers, nonneg_enforced=False)

@@ -67,7 +67,7 @@ def test_returns_k_distinct_indices():
 def test_k_outside_one_to_n_is_rejected():
     x = np.zeros((3, 2))
     for k in (0, 4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             select_initial_rows(x, k, 0, "t")
 
 
