@@ -25,14 +25,14 @@ NOISE_VIEW_SEPARATION = 1.0
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Scenario description: sizes, separation and mixing proportions."""
+    """Scenario description: sizes and separation; the K clusters are
+    equally likely."""
 
     n: int
     k: int
     v: int = 1
     j: int = 2
     separation: float = 6.0
-    mix: Optional[tuple] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -42,13 +42,6 @@ class SimSpec:
             raise ConfigError("v and j must be >= 1")
         if not self.separation > 0:
             raise ConfigError("separation must be > 0")
-        if self.mix is not None:
-            mix = tuple(float(p) for p in self.mix)
-            if len(mix) != self.k:
-                raise ConfigError(f"mix has {len(mix)} entries for k={self.k}")
-            if any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-9:
-                raise ConfigError("mix must be a probability vector")
-            object.__setattr__(self, "mix", mix)
 
 
 def _simplex_coords(k: int) -> np.ndarray:
@@ -87,8 +80,7 @@ def generate(spec: SimSpec) -> MultiViewDataset:
     Ground-truth labels (1-based) are attached to the returned dataset.
     """
     rng = rng_for(spec.seed, "datagen")
-    mix = np.full(spec.k, 1.0 / spec.k) if spec.mix is None else np.asarray(spec.mix)
-    labels0 = rng.choice(spec.k, size=spec.n, p=mix)
+    labels0 = rng.choice(spec.k, size=spec.n, p=np.full(spec.k, 1.0 / spec.k))
     views = []
     for _ in range(spec.v):
         mu = _chain_means(rng, spec.k, spec.j, spec.separation)

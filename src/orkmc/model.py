@@ -273,9 +273,14 @@ def fit_result(
     )
 
 
-def _check_center_shapes(data: MultiViewDataset, centers, k: int) -> None:
-    """Raise :class:`DimensionError` unless ``centers`` holds one K x J_v
-    matrix per view of ``data``."""
+def _conforming(data: MultiViewDataset, u, m) -> tuple:
+    """``(U, centers)`` as arrays, checked against ``data``'s shapes (one
+    K x J_v center matrix per view) and for finiteness."""
+    u = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
+    centers = m.centers if isinstance(m, CenterSet) else tuple(m)
+    n, k = u.shape
+    if n != data.n_samples:
+        raise DimensionError(f"assignment has {n} rows, dataset has {data.n_samples}")
     if len(centers) != data.n_views:
         raise DimensionError(f"{len(centers)} center matrices for {data.n_views} views")
     for v, m in enumerate(centers):
@@ -283,17 +288,6 @@ def _check_center_shapes(data: MultiViewDataset, centers, k: int) -> None:
             raise DimensionError(
                 f"center matrix {v} has shape {m.shape}, expected {(k, data.views[v].shape[1])}"
             )
-
-
-def _conforming(data: MultiViewDataset, u, m) -> tuple:
-    """``(U, centers)`` as arrays, checked against ``data``'s shapes and for
-    finiteness."""
-    u = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
-    centers = m.centers if isinstance(m, CenterSet) else tuple(m)
-    n, k = u.shape
-    if n != data.n_samples:
-        raise DimensionError(f"assignment has {n} rows, dataset has {data.n_samples}")
-    _check_center_shapes(data, centers, k)
     if not np.all(np.isfinite(u)):
         raise ValidationError("assignment matrix has non-finite entries")
     for v, m in enumerate(centers):

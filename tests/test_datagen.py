@@ -21,8 +21,6 @@ class TestSimSpec:
             SimSpec(n=2, k=3)
         with pytest.raises(ConfigError):
             SimSpec(n=10, k=2, separation=0.0)
-        with pytest.raises(ConfigError):
-            SimSpec(n=10, k=2, mix=(0.9, 0.2))
 
 
 class TestGenerate:
@@ -58,11 +56,11 @@ class TestGenerate:
         b = generate(SimSpec(n=50, k=3, seed=2))
         assert not np.array_equal(a.views[0], b.views[0])
 
-    def test_label_proportions_follow_mix(self):
-        mix = (0.7, 0.2, 0.1)
-        data = generate(SimSpec(n=2000, k=3, mix=mix, seed=5))
+    def test_labels_are_equally_likely(self):
+        data = generate(SimSpec(n=2000, k=3, seed=5))
         labels = np.asarray(data.labels)
-        for cls, p in enumerate(mix, start=1):
+        p = 1.0 / 3
+        for cls in (1, 2, 3):
             frac = float(np.mean(labels == cls))
             bound = 4.0 * np.sqrt(p * (1 - p) / 2000)
             assert abs(frac - p) <= bound

@@ -1,12 +1,12 @@
 """Offline solver: monotonicity, Lloyd reduction, update oracles, determinism."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from orkmc.baselines import nearest_center_labels
 from orkmc.errors import (
     ConfigError,
     DataWarning,
@@ -57,25 +57,22 @@ class TestRkmcFit:
         with pytest.raises(ConfigError):
             rkmc_fit(data, HyperParams(k=5))
 
-    def test_unknown_assignment_mode_rejected(self):
-        data = MultiViewDataset(views=(np.arange(8.0).reshape(4, 2),))
-        with pytest.raises(ConfigError, match="assignment must be 'soft' or 'hard'"):
-            rkmc_fit(data, HyperParams(k=2), assignment="lloyd")
-
     def test_initial_centers_with_wrong_k_rejected(self):
         data = MultiViewDataset(views=(np.arange(12.0).reshape(4, 3),))
+        u = AssignmentMatrix(np.full((4, 3), 1.0 / 3))
         centers = CenterSet((np.zeros((4, 3)),))
         with pytest.raises(DimensionError, match="center matrix 0 has shape"):
-            rkmc_fit(data, HyperParams(k=3), initial_centers=centers)
+            objective_rkmc(data, u, centers, 1.0)
 
     def test_initial_centers_with_wrong_features_or_views_rejected(self):
         x = np.arange(12.0).reshape(4, 3)
         data = MultiViewDataset(views=(x, x[:, :2]))
-        fit = lambda *centers: rkmc_fit(data, HyperParams(k=2), initial_centers=CenterSet(centers))
+        u = AssignmentMatrix(np.full((4, 2), 0.5))
+        evaluate = lambda *centers: objective_rkmc(data, u, CenterSet(centers), 1.0)
         with pytest.raises(DimensionError, match="center matrix 1 has shape"):
-            fit(np.zeros((2, 3)), np.zeros((2, 3)))
+            evaluate(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(DimensionError, match="1 center matrices for 2 views"):
-            fit(np.zeros((2, 3)))
+            evaluate(np.zeros((2, 3)))
 
     def test_identical_rows_warn(self):
         data = MultiViewDataset(views=(np.ones((6, 2)),))
@@ -125,16 +122,6 @@ class TestRkmcFit:
         res_perm = rkmc_fit(data_perm, hyper)
         assert np.array_equal(res.assignment.hard_labels[perm], res_perm.assignment.hard_labels)
 
-    def test_permutation_equivariance_explicit_centers(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(24, 2)) * 2
-        centers = CenterSet((x[[0, 5, 11]].copy(),))
-        perm = rng.permutation(24)
-        hyper = HyperParams(k=3, eta=0.5, max_iter=15, seed=0)
-        res = rkmc_fit(MultiViewDataset(views=(x,)), hyper, initial_centers=centers)
-        res_perm = rkmc_fit(MultiViewDataset(views=(x[perm],)), hyper, initial_centers=centers)
-        assert np.array_equal(res.assignment.hard_labels[perm], res_perm.assignment.hard_labels)
-
 
 class TestLloydReduction:
     def test_hard_mode_tracks_reference_lloyd(self):
@@ -143,14 +130,12 @@ class TestLloydReduction:
             n, k = int(rng.integers(12, 40)), int(rng.integers(2, 5))
             x = rng.normal(size=(n, 2)) * 2.5
             centers0 = x[rng.choice(n, size=k, replace=False)].copy()
-            data, start = MultiViewDataset(views=(x,)), CenterSet((centers0.copy(),))
-            hyper = HyperParams(k=k, eta=0.0, epsilon=1e-12, max_iter=12, seed=0)
-            # Iteration 0 is the first assignment; iteration t ends a fit of t steps.
-            ours = [update_U(data, start, None, hyper.eta, mode="hard").hard_labels]
-            for t in range(1, hyper.max_iter + 1):
-                res = rkmc_fit(data, replace(hyper, max_iter=t), assignment="hard",
-                               initial_centers=start)
-                ours.append(res.assignment.hard_labels)
+            data, m = MultiViewDataset(views=(x,)), CenterSet((centers0.copy(),))
+            # Iteration 0 is the first assignment; iteration t follows t center steps.
+            ours = [nearest_center_labels(x, m.centers[0])]
+            for _ in range(12):
+                m = update_M(data, AssignmentMatrix(one_hot(ours[-1], k)), prev=m)
+                ours.append(nearest_center_labels(x, m.centers[0]))
             reference = oracles.lloyd_reference(x, centers0, len(ours))
             for t, (got, want) in enumerate(zip(ours, reference)):
                 assert np.array_equal(got, want), t
