@@ -285,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--yita", "--eta", dest="yita", type=float, default=HyperParams.eta,
                        help="regularization strength (rkmc, orkmc)")
         p.add_argument("--r", type=float, default=HyperParams.r,
-                       help="view-weight balance exponent (orkmc)")
+                       help="view-weight balance exponent (orkmc; at r <= 1 the view with "
+                            "the smallest residual takes all the weight)")
         p.add_argument("--gamma", type=float, default=None,
                        help="gradient step length (orkmc; default: automatic)")
         p.add_argument("--epsilon", type=float, default=HyperParams.epsilon,

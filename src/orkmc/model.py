@@ -166,12 +166,15 @@ class HyperParams:
     used verbatim.  ``chushi`` is the initial batch size of the online
     solvers (orkmc, ogd, omu); ``None`` means ``max(k, n // 10)`` of n
     samples (:func:`with_initial_batch`).  ``r`` is the view-weight balance
-    exponent: the online objective weights view v by ``alpha_v ** r``.
+    exponent: the online objective weights view v by ``alpha_v ** r``.  Its
+    default, 2, keeps every view in play; at ``r <= 1`` the weight refresh
+    puts all the weight on the view with the smallest residual
+    (:func:`~orkmc.online.weights_from_residuals`).
     """
 
     k: int
     eta: float = 1.0
-    r: float = 0.5
+    r: float = 2.0
     gamma: Optional[float] = None
     epsilon: float = 1e-4
     max_iter: int = 100

@@ -43,22 +43,22 @@ DEFAULT_N_GRAD = 10
 
 
 def weights_from_residuals(d: np.ndarray, r: float) -> np.ndarray:
-    """Stationary view weights of the r-weighted residual sum on the simplex.
+    """View weights alpha that minimize ``sum_v alpha_v ** r * D_v`` on the simplex.
 
-    ``alpha_v propto D_v ** (1/(1-r))`` for ``r != 1`` (computed in log space);
-    ``r = 1`` gives uniform weights; views with zero residual split the whole
-    weight among themselves.  The V residuals are handled as Python floats,
+    Views with zero residual split the whole weight evenly, for any r.
+    Otherwise, for ``r <= 1`` the sum is concave in alpha and its minimum is
+    the vertex of the smallest residual (the lowest index on exact ties); for
+    ``r > 1`` it is strictly convex and ``alpha_v propto D_v ** (1/(1-r))``
+    (computed in log space).  The V residuals are handled as Python floats,
     since each arrival refreshes the weights once.
     """
     d = np.asarray(d, dtype=np.float64).tolist()
-    v = len(d)
-    if v == 1:
-        return np.ones(1)
-    if r == 1.0:
-        return np.full(v, 1.0 / v)
     n_zero = sum(x <= 0.0 for x in d)
     if n_zero:
         return np.array([1.0 / n_zero if x <= 0.0 else 0.0 for x in d])
+    if r <= 1.0:
+        best = d.index(min(d))
+        return np.array([1.0 if v == best else 0.0 for v in range(len(d))])
     log_a = [math.log(x) / (1.0 - r) for x in d]
     top = max(log_a)
     a = [math.exp(la - top) for la in log_a]

@@ -189,10 +189,29 @@ class TestStep:
 
 
 class TestWeights:
-    def test_r_equal_one_gives_uniform(self):
-        np.testing.assert_allclose(
-            weights_from_residuals(np.array([3.0, 1.0]), 1.0), [0.5, 0.5]
+    def test_r_equal_one_takes_the_smallest_residual(self):
+        np.testing.assert_array_equal(weights_from_residuals(np.array([3.0, 1.0]), 1.0), [0.0, 1.0])
+
+    def test_r_below_one_breaks_exact_ties_by_lowest_index(self):
+        np.testing.assert_array_equal(
+            weights_from_residuals(np.array([2.0, 1.0, 1.0]), 0.5), [0.0, 1.0, 0.0]
         )
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 1.5, 2.0, 4.0])
+    def test_refresh_minimizes_the_weighted_residual_sum(self, r):
+        # sum alpha^r D at the rule's alpha is at most its value at every
+        # vertex, at the uniform vector and at random simplex points; odd
+        # cases draw small integers, so exact ties and zero residuals occur.
+        rng = np.random.default_rng(14)
+        for case in range(60):
+            v = int(rng.integers(1, 6))
+            d = rng.integers(0, 4, size=v).astype(float) if case % 2 else rng.uniform(0.1, 10.0, size=v)
+            alpha = weights_from_residuals(d, r)
+            assert np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-12
+            got = float(np.sum(alpha ** r * d))
+            points = np.vstack([np.eye(v), np.full((1, v), 1.0 / v), rng.dirichlet(np.ones(v), size=200)])
+            best = float((points ** r @ d).min())
+            assert got <= best + 1e-12 * abs(best), (d.tolist(), alpha.tolist())
 
     def test_zero_residual_views_take_all_weight(self):
         w = weights_from_residuals(np.array([0.0, 2.0, 0.0]), 2.0)
