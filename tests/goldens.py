@@ -34,8 +34,7 @@ import numpy as np
 from orkmc import datagen, kmeans_fit, ogd_fit, omu_fit, orkmc_run, pkmeans_fit, validate
 from orkmc._util import select_initial_rows
 from orkmc.model import CenterSet, HyperParams, MultiViewDataset
-from orkmc import offline
-from orkmc.offline import N_RESTARTS, rkmc_fit
+from orkmc.offline import N_RESTARTS, _fit_once, rkmc_fit
 from orkmc.online import orkmc_init, orkmc_step
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "replay_goldens.json")
@@ -143,7 +142,7 @@ def _restart_margin(data, seed) -> float:
     for r in range(N_RESTARTS):
         idx = select_initial_rows(data.stacked(), 3, seed, f"rkmc-init-{r}")
         start = CenterSet(tuple(x[idx].copy() for x in data.views))
-        finals.append(offline._fit_once(data, hyper, start)["trace"][-1])
+        finals.append(_fit_once(data, hyper, start)["trace"][-1])
     return abs(finals[0] - finals[1]) / max(abs(f) for f in finals)
 
 

@@ -191,8 +191,7 @@ class TestStep:
 class TestWeights:
     def test_r_equal_one_takes_the_smallest_residual(self):
         np.testing.assert_array_equal(weights_from_residuals(np.array([3.0, 1.0]), 1.0), [0.0, 1.0])
-
-    def test_r_below_one_breaks_exact_ties_by_lowest_index(self):
+        # Below 1 too; the lowest index wins an exact tie.
         np.testing.assert_array_equal(
             weights_from_residuals(np.array([2.0, 1.0, 1.0]), 0.5), [0.0, 1.0, 0.0]
         )
