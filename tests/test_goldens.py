@@ -3,7 +3,9 @@
 The goldens were recorded from the code as it stood before the fit contract
 moved into ``orkmc.model``, and the ``orkmc-*`` cases before the one-row fast
 path of the per-arrival update; a refactor that keeps outputs identical keeps
-these passing.  Values are compared at ``goldens.RTOL`` relative to each
+these passing.  ``orkmc``, ``orkmc-stream`` and ``orkmc-clamp`` were recorded
+again when the view-weight refresh became the minimizer for every r and the
+default r moved to 2.  Values are compared at ``goldens.RTOL`` relative to each
 array's largest entry; ``frozen_at`` and the hard labels must match exactly.
 """
 
