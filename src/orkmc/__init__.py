@@ -31,7 +31,7 @@ _EXPORTS = {
                    "save_result"),
         "kernels": ("nnls", "project_simplex"),
         "metrics": ("ContingencyTable", "index", "nmi", "pair_scores", "purity"),
-        "model": ("AssignmentMatrix", "CenterSet", "ClusterResult", "HyperParams",
+        "model": ("CenterSet", "ClusterResult", "HyperParams",
                   "MultiViewDataset", "objective_online", "objective_rkmc", "validate"),
         "offline": ("rkmc_fit", "update_M", "update_U"),
         "online": ("OnlineState", "orkmc_init", "orkmc_run", "orkmc_step"),

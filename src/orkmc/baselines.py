@@ -57,7 +57,7 @@ def kmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     assigned center, which only lowers the within-cluster SSE.
     """
     k = hyper.k
-    x = data.stacked()
+    x = data.stacked
     t0 = time.perf_counter()
     centers = x[select_initial_rows(x, k, hyper.seed, "kmeans-init")].copy()
     labels = None

@@ -71,8 +71,6 @@ def _run_algorithm(algo: str, data: MultiViewDataset, hyper: HyperParams) -> Clu
     """Call solver ``algo`` as ``fit(data, hyper)``.  The solver is looked up
     when called (this module's ``rkmc_fit``/``orkmc_run``, else
     ``baselines.<algo>_fit``), so a function replaced after import is used."""
-    if algo not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {algo!r}")
     if algo == "rkmc":
         return rkmc_fit(data, hyper)
     if algo == "orkmc":
@@ -83,7 +81,7 @@ def _run_algorithm(algo: str, data: MultiViewDataset, hyper: HyperParams) -> Clu
 def _scores(result: ClusterResult, data: MultiViewDataset):
     if data.labels is None:
         return None
-    pred = result.assignment.hard_labels
+    pred = result.labels
     pair = metrics.pair_scores(pred, data.labels)
     return {
         "nmi": result.nmi,
@@ -93,7 +91,7 @@ def _scores(result: ClusterResult, data: MultiViewDataset):
 
 
 def _summary_line(algo: str, data: MultiViewDataset, result: ClusterResult) -> str:
-    head = f"{algo} n={data.n_samples} k={result.assignment.k}"
+    head = f"{algo} n={data.n_samples} k={result.assignment.shape[1]}"
     scores = _scores(result, data)
     if scores is None:
         return f"{head} nmi=NA"

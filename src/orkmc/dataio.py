@@ -274,7 +274,7 @@ def save_result(result: ClusterResult, path) -> None:
     head and tail are encoded before the file is opened, so a metadata value
     JSON cannot encode raises without leaving a partial file.
     """
-    head = json.dumps({"result": (np.asarray(result.assignment.hard_labels) + 1).tolist()})
+    head = json.dumps({"result": (result.labels + 1).tolist()})
     tail = json.dumps({
         "weight": result.weights.tolist(),
         "center": [m.tolist() for m in result.centers.centers],
@@ -283,7 +283,7 @@ def save_result(result: ClusterResult, path) -> None:
         "elapsed_seconds": float(result.elapsed_seconds),
         "config": result.metadata,
     })
-    u = result.assignment.entries
+    u = result.assignment
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "U": [')
         for i in range(0, u.shape[0], RESULT_BLOCK_ROWS):

@@ -42,9 +42,11 @@ has exactly one implementation here:
   einsum costs about 0.7 ms more per call at 10 000 x 20 x 10.
 * :func:`cluster_means` -- per-cluster means of the rows with each hard label.
 * :func:`one_hot` -- the one-hot assignment matrix of hard labels.
-* :func:`data_nonneg` -- the rule that centers are kept nonnegative exactly
-  when the data is; ``offline.update_M`` and ``online.orkmc_init`` apply it
-  where they build centers, and record it in ``CenterSet.nonneg_enforced``.
+
+The rule that centers are kept nonnegative exactly when the data is belongs
+to the data: ``MultiViewDataset.nonneg`` in :mod:`orkmc.model`.
+``offline.update_M`` and ``online.orkmc_init`` read it where they build
+centers, and record it in ``CenterSet.nonneg_enforced``.
 
 All functions are pure and re-entrant; callers may run rows or columns in
 parallel and results do not depend on the schedule.
@@ -397,9 +399,3 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     u = np.zeros((labels.shape[0], k))
     u[np.arange(labels.shape[0]), labels] = 1.0
     return u
-
-
-def data_nonneg(views) -> bool:
-    """The default center constraint: centers are kept nonnegative exactly
-    when every view of the data is nonnegative."""
-    return all(float(x.min()) >= 0.0 for x in views)

@@ -3,13 +3,14 @@
 The solvers all speak in terms of these types:
 
 * :class:`MultiViewDataset` -- V aligned per-view sample matrices (one row per
-  sample in every view) plus optional ground-truth labels.
-* :class:`AssignmentMatrix` -- the N x K row-stochastic soft-assignment matrix
-  with its hard labels, always the row argmax (lowest index on ties).
+  sample in every view) plus optional ground-truth labels; it also holds the
+  two facts the solvers read off the data, its stacked N x sum(J_v) matrix and
+  whether every view is nonnegative.
 * :class:`CenterSet` -- per-view K x J_v center matrices.
-* :class:`ClusterResult` -- everything a fit returns; its view weights are the
-  plain simplex vector alpha, and the balance exponent r lives only in
-  :class:`HyperParams`.
+* :class:`ClusterResult` -- everything a fit returns: the N x K row-stochastic
+  soft-assignment matrix U as a plain array, its hard labels (the row argmax,
+  derived on read), and the view weights as the plain simplex vector alpha;
+  the balance exponent r lives only in :class:`HyperParams`.
 
 Every solver builds its result with :func:`fit_result`, which records the
 ``HyperParams`` that made it, and :func:`objective_rkmc` is
@@ -23,6 +24,7 @@ by :func:`validate`, which reports violations instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,7 +48,10 @@ def _as_matrix(a, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiViewDataset:
-    """V aligned sample matrices; view v has shape (N, J_v)."""
+    """V aligned sample matrices; view v has shape (N, J_v).
+
+    ``stacked`` and ``nonneg`` are computed on first read and kept.
+    """
 
     views: tuple
     labels: Optional[np.ndarray] = None
@@ -90,9 +95,18 @@ class MultiViewDataset:
     def feature_counts(self) -> tuple:
         return tuple(v.shape[1] for v in self.views)
 
+    @cached_property
     def stacked(self) -> np.ndarray:
-        """Column-concatenation of all views (N x sum(J_v))."""
-        return np.hstack(self.views)
+        """Column-concatenation of all views (N x sum(J_v)), read-only."""
+        x = np.hstack(self.views)
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def nonneg(self) -> bool:
+        """The center constraint: centers are kept nonnegative exactly when
+        every view of the data is nonnegative."""
+        return bool(self.stacked.min() >= 0.0)
 
     def take_rows(self, idx) -> "MultiViewDataset":
         idx = np.asarray(idx)
@@ -104,31 +118,6 @@ class MultiViewDataset:
 
     def single_view(self, v: int) -> "MultiViewDataset":
         return MultiViewDataset(views=(self.views[v],), labels=self.labels, name=self.name)
-
-
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """N x K nonnegative soft assignments; rows sum to one.
-
-    ``hard_labels`` is the row argmax of ``entries`` taken at construction;
-    :func:`validate` reports rows where ``entries`` was changed since.
-    """
-
-    entries: np.ndarray
-    hard_labels: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        u = _as_matrix(self.entries, "assignment matrix")
-        object.__setattr__(self, "entries", u)
-        object.__setattr__(self, "hard_labels", np.argmax(u, axis=1))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -223,17 +212,23 @@ class HyperParams:
 class ClusterResult:
     """Everything a fit returns; see :func:`validate` for the invariants.
 
+    ``assignment`` is the N x K float64 soft-assignment matrix U, and
+    ``labels`` its hard labels, the row argmax (lowest index on ties).
     ``weights`` is the float64 view-weight vector alpha of shape (V,): uniform
     1/V for every solver but ORKMC, which refreshes it from the residuals.
     """
 
-    assignment: AssignmentMatrix
+    assignment: np.ndarray
     centers: CenterSet
     weights: np.ndarray
     objective_trace: tuple = ()
     elapsed_seconds: float = 0.0
     nmi: Optional[float] = None
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.argmax(self.assignment, axis=1)
 
 
 def with_initial_batch(hyper: HyperParams, n: int) -> HyperParams:
@@ -251,22 +246,22 @@ def fit_result(
     centers: CenterSet, trace, elapsed: float, metadata: Optional[dict] = None,
     weights: Optional[np.ndarray] = None,
 ) -> ClusterResult:
-    """The result of every fit of ``data``: ``u`` wrapped as an
-    :class:`AssignmentMatrix`, the NMI of its hard labels when ``data`` has
-    labels, and uniform 1/V view weights unless ``weights`` is given.
+    """The result of every fit of ``data``: ``u`` as a nonempty 2-D float64
+    array, the NMI of its hard labels when ``data`` has labels, and uniform
+    1/V view weights unless ``weights`` is given.
 
     Its metadata is ``{"algorithm": algorithm, "hyper": hyper.as_dict()}``
     followed by the solver's own ``metadata`` entries, so every result
     records the hyperparameters that made it (the online solvers pass
     ``hyper`` with ``chushi`` resolved by :func:`with_initial_batch`)."""
-    assignment = AssignmentMatrix(u)
+    u = _as_matrix(u, "assignment matrix")
     score = None
     if data.labels is not None:
-        score = metrics.nmi(assignment.hard_labels, data.labels)
+        score = metrics.nmi(np.argmax(u, axis=1), data.labels)
     if weights is None:
         weights = np.full(data.n_views, 1.0 / data.n_views)
     return ClusterResult(
-        assignment=assignment,
+        assignment=u,
         centers=centers,
         weights=weights,
         objective_trace=tuple(trace),
@@ -276,11 +271,12 @@ def fit_result(
     )
 
 
-def _conforming(data: MultiViewDataset, u, m) -> tuple:
-    """``(U, centers)`` as arrays, checked against ``data``'s shapes (one
-    K x J_v center matrix per view) and for finiteness."""
-    u = u.entries if isinstance(u, AssignmentMatrix) else np.asarray(u, dtype=np.float64)
-    centers = m.centers if isinstance(m, CenterSet) else tuple(m)
+def _conforming(data: MultiViewDataset, u: np.ndarray, m: CenterSet) -> tuple:
+    """``(U, centers)`` as a float64 array and a tuple of arrays, checked
+    against ``data``'s shapes (one K x J_v center matrix per view) and for
+    finiteness."""
+    u = np.asarray(u, dtype=np.float64)
+    centers = m.centers
     n, k = u.shape
     if n != data.n_samples:
         raise DimensionError(f"assignment has {n} rows, dataset has {data.n_samples}")
@@ -321,7 +317,7 @@ def view_residuals(views, u: np.ndarray, centers) -> np.ndarray:
 
 
 def objective_rkmc(
-    data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet, eta: float
+    data: MultiViewDataset, u: np.ndarray, m: CenterSet, eta: float
 ) -> float:
     """Squared reconstruction error summed over views plus ``eta * sum(U**2)``:
     :func:`objective_online` with every view weight 1, bit for bit."""
@@ -330,7 +326,7 @@ def objective_rkmc(
 
 def objective_online(
     data_prefix: MultiViewDataset,
-    u: AssignmentMatrix,
+    u: np.ndarray,
     m: CenterSet,
     alpha,
     r: float,
@@ -360,13 +356,6 @@ def _check_rows(entries: np.ndarray, out: list) -> None:
         out.append(("row-sum", int(i)))
 
 
-def _check_assignment(u: AssignmentMatrix, out: list) -> None:
-    _check_rows(u.entries, out)
-    derived = np.argmax(u.entries, axis=1)
-    for i in np.flatnonzero(derived != np.asarray(u.hard_labels)):
-        out.append(("hard-labels", int(i)))
-
-
 def _check_centers(c: CenterSet, out: list) -> None:
     k = c.centers[0].shape[0]
     for v, m in enumerate(c.centers):
@@ -385,8 +374,6 @@ def _check_weights(alpha, out: list) -> None:
         out.append(("weight-nonneg", int(v)))
     if not abs(float(alpha.sum()) - 1.0) <= ROW_SUM_TOL:
         out.append(("weight-sum", None))
-    if alpha.size == 1 and not abs(float(alpha[0]) - 1.0) <= ROW_SUM_TOL:
-        out.append(("weight-single-view", None))
 
 
 def validate(obj) -> list:
@@ -408,10 +395,10 @@ def validate(obj) -> list:
         _check_rows(np.asarray(obj.U_rows, dtype=np.float64).reshape(obj.t, obj.centers.k), out)
         return out
 
-    _check_assignment(obj.assignment, out)
+    _check_rows(obj.assignment, out)
     _check_centers(obj.centers, out)
     _check_weights(obj.weights, out)
-    if obj.assignment.k != obj.centers.k:
+    if obj.assignment.shape[1] != obj.centers.k:
         out.append(("shape", None))
     if np.shape(obj.weights) != (obj.centers.n_views,):
         out.append(("weight-length", None))

@@ -37,13 +37,11 @@ from .kernels import (
     _active_set,
     _pgd_rows,
     assignment_qp,
-    data_nonneg,
     nnls,
     pg_step,
     solve_ridge_normal,
 )
 from .model import (
-    AssignmentMatrix,
     CenterSet,
     ClusterResult,
     HyperParams,
@@ -64,12 +62,13 @@ N_RESTARTS = 2
 def update_U(
     data: MultiViewDataset,
     m: CenterSet,
-    u_prev: Optional[AssignmentMatrix],
+    u_prev: Optional[np.ndarray],
     eta: float,
-) -> AssignmentMatrix:
+) -> np.ndarray:
     """Minimize every assignment row at fixed centers; never increases the objective.
 
-    Each row's simplex QP with Hessian ``2 (sum_v M_v M_v' + eta I)`` is
+    Takes the previous N x K assignment array (or None) and returns the new
+    one.  Each row's simplex QP with Hessian ``2 (sum_v M_v M_v' + eta I)`` is
     solved exactly: ``FACE_SWEEPS`` projected-gradient sweeps from ``u_prev``
     (uniform rows when None) pick each row's starting face, and the batched
     active-set kernel then solves all rows to their KKT conditions.  Per
@@ -78,23 +77,23 @@ def update_U(
     """
     k = m.k
     h, c = assignment_qp(data.views, m.centers, np.ones(data.n_views), eta)
-    start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev.entries
+    start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev
     u, _, _ = _pgd_rows(start, h, c, pg_step(h), FACE_SWEEPS)
-    return AssignmentMatrix(_active_set(h, c, u, True))
+    return _active_set(h, c, u, True)
 
 
 def update_M(
     data: MultiViewDataset,
-    u: AssignmentMatrix,
+    u: np.ndarray,
     *,
     prev: Optional[CenterSet] = None,
 ) -> CenterSet:
-    """Least-squares center update at fixed assignments.
+    """Least-squares center update at the fixed N x K assignment array ``u``.
 
     Per view, ``M_v = argmin ||X_v - U M_v||_F^2``; the views' columns are
-    stacked and solved in one call.  When every view of ``data`` is
-    nonnegative (:func:`~orkmc.kernels.data_nonneg`, one min-scan of the data
-    per call) the centers are kept nonnegative: one
+    solved together on ``data.stacked``.  When ``data.nonneg`` (every view is
+    nonnegative; the dataset decides it once) the centers are kept
+    nonnegative: one
     :func:`~orkmc.kernels.nnls` call solves every column exactly,
     warm-started from ``prev``.  Otherwise the normal equations are solved
     with one Cholesky factorization, or by the ridge rule when the rank test
@@ -102,9 +101,8 @@ def update_M(
     ``nonneg_enforced``.  Clusters whose soft mass vanished keep their
     previous centers and a :class:`DegenerateClusterWarning` is emitted.
     """
-    uu = u.entries
-    k = uu.shape[1]
-    mass = uu.sum(axis=0)
+    k = u.shape[1]
+    mass = u.sum(axis=0)
     live = mass > DEAD_MASS
     dead = np.flatnonzero(~live)
     if dead.size:
@@ -113,22 +111,21 @@ def update_M(
             DegenerateClusterWarning,
             stacklevel=2,
         )
-    ul = uu[:, live]
-    nonneg = data_nonneg(data.views)
-    x = data.stacked()
+    ul = u[:, live]
+    x = data.stacked
     m = np.zeros((k, x.shape[1])) if prev is None else np.hstack(prev.centers)
     if np.any(live):
-        if nonneg:
+        if data.nonneg:
             m[live] = nnls(ul, x, start=np.maximum(m[live], 0.0))
         else:
             m[live] = solve_ridge_normal(ul.T @ ul, ul.T @ x)
-    return CenterSet.from_stacked(m, data.feature_counts, nonneg)
+    return CenterSet.from_stacked(m, data.feature_counts, data.nonneg)
 
 
-def _per_row_residual(data: MultiViewDataset, u: AssignmentMatrix, m: CenterSet) -> np.ndarray:
+def _per_row_residual(data: MultiViewDataset, u: np.ndarray, m: CenterSet) -> np.ndarray:
     r = np.zeros(data.n_samples)
     for x, mv in zip(data.views, m.centers):
-        diff = x - u.entries @ mv
+        diff = x - u @ mv
         r += (diff * diff).sum(axis=1)
     return r
 
@@ -148,7 +145,7 @@ def _fit_once(data: MultiViewDataset, hyper: HyperParams, m: CenterSet) -> dict:
         u = update_U(data, m, u, hyper.eta)
         trace.append(objective_rkmc(data, u, m, hyper.eta))
 
-        counts = np.bincount(u.hard_labels, minlength=hyper.k)
+        counts = np.bincount(np.argmax(u, axis=1), minlength=hyper.k)
         empty_streak = np.where(counts == 0, empty_streak + 1, 0)
         stale = np.flatnonzero(empty_streak >= RESEED_AFTER)
         if stale.size:
@@ -181,7 +178,7 @@ def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     the lowest final objective is kept.  The returned trace is the kept run's
     per-iteration objective.
     """
-    stacked = data.stacked()
+    stacked = data.stacked
     t0 = time.perf_counter()
     best, restart_used = None, -1
     for r in range(N_RESTARTS):
@@ -205,6 +202,4 @@ def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
         "reseed_steps": list(best["reseed_steps"]),
         "converged": best["converged"],
     }
-    return fit_result(
-        data, hyper, "rkmc", best["u"].entries, best["m"], best["trace"], elapsed, metadata
-    )
+    return fit_result(data, hyper, "rkmc", best["u"], best["m"], best["trace"], elapsed, metadata)

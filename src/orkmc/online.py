@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import select_initial_rows
 from .errors import ValidationError
-from .kernels import _pgd_rows, assignment_qp, cluster_means, data_nonneg, pg_step
+from .kernels import _pgd_rows, assignment_qp, cluster_means, pg_step
 from .model import (
     CenterSet,
     ClusterResult,
@@ -122,15 +122,16 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     assignment update (from the uniform row, ``min(DEFAULT_N_GRAD, max_iter)``
     sweeps) that arrivals get, and each center moves to the mean of its
     hard-labelled rows, until no center moved by more than ``epsilon``.
-    ``counts`` is the final label histogram.
+    ``counts`` is the final label histogram.  The centers are clamped at zero
+    (``CenterSet.nonneg_enforced``) exactly when the batch is nonnegative
+    (``MultiViewDataset.nonneg`` of the batch, not of all of ``data``).
     """
     hyper = with_initial_batch(hyper, data.n_samples)
     k, t0 = hyper.k, hyper.chushi
-    views = tuple(x[:t0] for x in data.views)
+    batch = MultiViewDataset(views=tuple(x[:t0] for x in data.views))
     n_grad = min(DEFAULT_N_GRAD, hyper.max_iter)
-    nonneg = data_nonneg(views)
-    idx = select_initial_rows(np.hstack(views), k, hyper.seed, "orkmc-init")
-    centers = CenterSet(tuple(x[idx].copy() for x in views), nonneg_enforced=nonneg)
+    idx = select_initial_rows(batch.stacked, k, hyper.seed, "orkmc-init")
+    centers = CenterSet(tuple(x[idx].copy() for x in batch.views), nonneg_enforced=batch.nonneg)
     state = OnlineState(
         hyper=hyper,
         U_rows=[],
@@ -143,15 +144,14 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     )
 
     # Centers at their assigned means keep the per-arrival running-mean
-    # recurrence of orkmc_step exact.
-    u = np.full((t0, k), 1.0 / k)
-    hard = np.zeros(t0, dtype=np.intp)
+    # recurrence of orkmc_step exact.  HyperParams keeps max_iter >= 1, so
+    # the loop sets u and hard.
     for _ in range(hyper.max_iter):
-        h, c, step = _row_qp(state, views)
+        h, c, step = _row_qp(state, batch.views)
         u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, n_grad)
         hard = np.argmax(u, axis=1)
         drift = 0.0
-        for x, mv in zip(views, centers.centers):
+        for x, mv in zip(batch.views, centers.centers):
             means = cluster_means(x, hard, k, mv)
             drift = max(drift, *(float(np.linalg.norm(d)) for d in means - mv))
             mv[:] = means
@@ -159,7 +159,7 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
             break
 
     state.counts = np.bincount(hard, minlength=k).astype(np.int64)
-    state.resid_sums = view_residuals(views, u, centers.centers)
+    state.resid_sums = view_residuals(batch.views, u, centers.centers)
     state.u_sq_sum = _sq_norm(u)
     state.U_rows = [u[i] for i in range(t0)]
     return state

@@ -117,7 +117,7 @@ CASES = {
 def record(result) -> dict:
     """The stored fields of one fit, as plain JSON values."""
     return {
-        "U": result.assignment.entries.tolist(),
+        "U": result.assignment.tolist(),
         "centers": [m.tolist() for m in result.centers.centers],
         "weights": np.asarray(result.weights).tolist(),
         "objective_trace": [float(f) for f in result.objective_trace],
@@ -140,7 +140,7 @@ def _restart_margin(data, seed) -> float:
     hyper = _rkmc_hyper(seed)
     finals = []
     for r in range(N_RESTARTS):
-        idx = select_initial_rows(data.stacked(), 3, seed, f"rkmc-init-{r}")
+        idx = select_initial_rows(data.stacked, 3, seed, f"rkmc-init-{r}")
         start = CenterSet(tuple(x[idx].copy() for x in data.views))
         finals.append(_fit_once(data, hyper, start)["trace"][-1])
     return abs(finals[0] - finals[1]) / max(abs(f) for f in finals)
@@ -161,7 +161,7 @@ def _freeze_margin(data, hyper) -> float:
 
 
 def tie_margins(name: str, data, result) -> dict:
-    margins = {"soft_label": _soft_label_margin(result.assignment.entries)}
+    margins = {"soft_label": _soft_label_margin(result.assignment)}
     if name.startswith("rkmc"):
         margins["restart"] = _restart_margin(data, result.metadata["hyper"]["seed"])
     if name.startswith("orkmc"):

@@ -43,7 +43,7 @@ from orkmc.datagen import SimSpec, add_shuffled_noise_view, generate, preset
 from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
 from orkmc.kernels import _active_set, one_hot
 from orkmc.metrics import nmi, pair_scores, purity
-from orkmc.model import AssignmentMatrix, CenterSet
+from orkmc.model import CenterSet
 from orkmc.offline import update_M
 from orkmc.online import orkmc_run
 
@@ -177,7 +177,7 @@ def test_c04_lloyd_reduction():
             # Iteration 0 is the first assignment; iteration t follows t center steps.
             ours = [nearest_center_labels(x, m.centers[0])]
             for _ in range(10):
-                m = update_M(data, AssignmentMatrix(one_hot(ours[-1], k)), prev=m)
+                m = update_M(data, one_hot(ours[-1], k), prev=m)
                 ours.append(nearest_center_labels(x, m.centers[0]))
             reference = oracles.lloyd_reference(x, centers0, len(ours))
             for t, (got, want) in enumerate(zip(ours, reference)):
@@ -255,9 +255,9 @@ def test_c09_qcm_anchor():
         for seed in range(10):
             hyper = HyperParams(k=5, eta=110.0, r=0.5, chushi=62, max_iter=100, seed=seed)
             res = rkmc_fit(data, hyper)
-            best_offline = max(best_offline, purity(res.assignment.hard_labels, data.labels))
+            best_offline = max(best_offline, purity(res.labels, data.labels))
             res2 = orkmc_run(data, hyper)
-            best_online = max(best_online, purity(res2.assignment.hard_labels, data.labels))
+            best_online = max(best_online, purity(res2.labels, data.labels))
         assert best_offline >= 0.40, f"best RKMC purity {best_offline:.3f}"
         assert best_online >= 0.45, f"best ORKMC purity {best_online:.3f}"
         crit.detail = f"best-of-10 purity: RKMC {best_offline:.3f}, ORKMC {best_online:.3f}"
@@ -359,7 +359,7 @@ def test_c12_baseline_properties():
             data = generate(SimSpec(n=40, k=3, v=1, j=2, seed=seed))
             res = pkmeans_fit(data, HyperParams(k=3, max_iter=120, seed=seed))
             lloyd = nearest_center_labels(data.views[0], res.centers.centers[0])
-            assert np.array_equal(res.assignment.hard_labels, lloyd)
+            assert np.array_equal(res.labels, lloyd)
 
         # omu preserves nonnegativity exactly across random streams
         for stream in range(50):

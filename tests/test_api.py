@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orkmc
@@ -26,7 +27,9 @@ def test_star_import_gives_exactly_the_public_names():
 
 
 @pytest.mark.parametrize(
-    "name", ["ViewWeights", "RowQP", "solve_row_qp", "NumericalError", "RkmcConfig"]
+    "name",
+    ["ViewWeights", "RowQP", "solve_row_qp", "NumericalError", "RkmcConfig", "AssignmentMatrix",
+     "data_nonneg"],
 )
 def test_removed_names_stay_gone(name):
     assert name not in orkmc.__all__
@@ -92,6 +95,7 @@ def test_every_solver_is_called_with_data_and_hyper(name):
     hyper = orkmc.HyperParams(k=3, chushi=10, seed=1)
     result = fit(data, hyper)
     assert orkmc.validate(result) == []
+    assert np.array_equal(result.labels, np.argmax(result.assignment, axis=1))
     assert result.metadata["algorithm"] == name.split("_")[0]
     assert result.metadata["hyper"] == hyper.as_dict()
     # Unset, the online solvers' chushi is recorded as max(k, n // 10) = 4.

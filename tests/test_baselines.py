@@ -39,7 +39,7 @@ def perm_match(a, b):
 class TestKmeans:
     def test_two_pairs(self):
         res = kmeans_fit(two_pairs(), HyperParams(k=2, epsilon=1e-6, seed=0))
-        assert perm_match(res.assignment.hard_labels, [0, 0, 1, 1])
+        assert perm_match(res.labels, [0, 0, 1, 1])
         assert validate(res) == []
 
     def test_k_one_gives_global_mean(self):
@@ -55,7 +55,7 @@ class TestKmeans:
         trace = res.objective_trace
         for i in range(1, len(trace)):
             assert trace[i] <= trace[i - 1] + 1e-9
-        labels = res.assignment.hard_labels
+        labels = res.labels
         centers = res.centers.centers[0]
         assert trace[-1] == pytest.approx(oracles.sse_direct(x, centers, labels), rel=1e-10)
 
@@ -124,7 +124,7 @@ class TestPkmeans:
             res = pkmeans_fit(data, HyperParams(k=3, max_iter=120, seed=seed))
             centers = res.centers.centers[0]
             lloyd_labels = nearest_center_labels(data.views[0], centers)
-            assert np.array_equal(res.assignment.hard_labels, lloyd_labels)
+            assert np.array_equal(res.labels, lloyd_labels)
 
     def test_zero_distance_collapses_weight(self):
         x = np.array([[0.0, 0.0], [4.0, 0.0]])
@@ -210,7 +210,7 @@ class TestOmu:
         x = np.abs(rng.normal(size=(30, 3)))
         data = MultiViewDataset(views=(x,))
         res = omu_fit(data, HyperParams(k=2, chushi=10, max_iter=20, seed=0))
-        u = res.assignment.entries
+        u = res.assignment
         assert np.all(u >= 0)
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-9)
         assert validate(res) == []

@@ -8,11 +8,11 @@ import pytest
 import oracles
 from orkmc.errors import ConfigError, DimensionError, ValidationError
 from orkmc.model import (
-    AssignmentMatrix,
     CenterSet,
     ClusterResult,
     HyperParams,
     MultiViewDataset,
+    fit_result,
     objective_online,
     objective_rkmc,
     validate,
@@ -22,7 +22,7 @@ from orkmc.model import (
 
 
 def make_result(u, centers, alpha=None, **kwargs):
-    a = AssignmentMatrix(np.asarray(u, dtype=float))
+    a = np.asarray(u, dtype=float)
     c = CenterSet(tuple(np.asarray(m, dtype=float) for m in centers),
                   nonneg_enforced=kwargs.pop("nonneg", False))
     w = np.full(len(centers), 1.0 / len(centers)) if alpha is None else np.asarray(alpha)
@@ -48,16 +48,25 @@ class TestMultiViewDataset:
         data = MultiViewDataset(views=(np.ones((2, 1)),))
         assert data.n_views == 1 and data.n_samples == 2
 
+    def test_stacked_is_one_read_only_array(self):
+        data = MultiViewDataset(views=(np.arange(6.0).reshape(3, 2), np.ones((3, 1))))
+        assert data.stacked is data.stacked
+        assert not data.stacked.flags.writeable
+        np.testing.assert_array_equal(data.stacked, np.hstack(data.views))
+        with pytest.raises(ValueError):
+            data.stacked[0, 0] = 1.0
 
-class TestAssignmentMatrix:
-    def test_hard_labels_are_argmax_with_low_tie(self):
-        u = np.array([[0.5, 0.5], [0.2, 0.8]])
-        a = AssignmentMatrix(u)
-        assert a.hard_labels.tolist() == [0, 1]
 
-    def test_shapes(self):
+class TestClusterResult:
+    def test_labels_are_argmax_with_low_tie(self):
+        res = make_result([[0.5, 0.5], [0.2, 0.8]], [np.eye(2)])
+        assert res.labels.tolist() == [0, 1]
+
+    def test_fit_result_rejects_a_1d_assignment(self):
+        data = MultiViewDataset(views=(np.eye(3),))
         with pytest.raises(DimensionError):
-            AssignmentMatrix(np.zeros(3))
+            fit_result(data, HyperParams(k=1), "kmeans", np.ones(3),
+                       CenterSet((np.ones((1, 3)),)), (), 0.0)
 
 
 class TestHyperParams:
@@ -96,7 +105,7 @@ class TestObjectiveRkmc:
         u = np.array([[1.0, 0.0], [0.0, 1.0]])
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         data = MultiViewDataset(views=(u @ m,))
-        assert objective_rkmc(data, AssignmentMatrix(u), CenterSet((m,)), 0.0) == 0.0
+        assert objective_rkmc(data, u, CenterSet((m,)), 0.0) == 0.0
 
     def test_one_hot_regularizer_is_eta_times_n(self):
         rng = np.random.default_rng(0)
@@ -107,15 +116,15 @@ class TestObjectiveRkmc:
         x = rng.normal(size=(n, 2))
         m = rng.normal(size=(k, 2))
         data = MultiViewDataset(views=(x,))
-        with_reg = objective_rkmc(data, AssignmentMatrix(u), CenterSet((m,)), 2.5)
-        without = objective_rkmc(data, AssignmentMatrix(u), CenterSet((m,)), 0.0)
+        with_reg = objective_rkmc(data, u, CenterSet((m,)), 2.5)
+        without = objective_rkmc(data, u, CenterSet((m,)), 0.0)
         assert with_reg == pytest.approx(without + 2.5 * n, abs=1e-12)
 
     def test_hand_expanded_2x2(self):
         # residual 1.0 plus regularizer 1.0 (expected value frozen from the
         # element-wise summation oracle)
         data = MultiViewDataset(views=(np.array([[1.0, 0.0], [0.0, 1.0]]),))
-        u = AssignmentMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        u = np.array([[0.5, 0.5], [0.5, 0.5]])
         m = CenterSet((np.array([[1.0, 0.0], [0.0, 1.0]]),))
         assert objective_rkmc(data, u, m, 1.0) == pytest.approx(2.0, abs=1e-15)
 
@@ -128,13 +137,13 @@ class TestObjectiveRkmc:
             ms = tuple(rng.normal(size=(k, x.shape[1])) for x in views)
             eta = float(rng.uniform(0, 3))
             data = MultiViewDataset(views=views)
-            got = objective_rkmc(data, AssignmentMatrix(u), CenterSet(ms), eta)
+            got = objective_rkmc(data, u, CenterSet(ms), eta)
             want = oracles.objective_rkmc_bruteforce(views, u.tolist(), [m.tolist() for m in ms], eta)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_shape_mismatch_raises(self):
         data = MultiViewDataset(views=(np.zeros((3, 2)),))
-        u = AssignmentMatrix(np.full((3, 2), 0.5))
+        u = np.full((3, 2), 0.5)
         m = CenterSet((np.zeros((2, 5)),))
         with pytest.raises(DimensionError):
             objective_rkmc(data, u, m, 0.0)
@@ -150,11 +159,10 @@ class TestObjectiveOnline:
             m = rng.normal(size=(k, 3))
             eta = float(rng.uniform(0, 2))
             data = MultiViewDataset(views=(x,))
-            a = AssignmentMatrix(u)
             c = CenterSet((m,))
             r = float(rng.uniform(0.2, 3))
-            assert objective_online(data, a, c, np.array([1.0]), r, eta) == pytest.approx(
-                objective_rkmc(data, a, c, eta), abs=1e-12, rel=1e-12
+            assert objective_online(data, u, c, np.array([1.0]), r, eta) == pytest.approx(
+                objective_rkmc(data, u, c, eta), abs=1e-12, rel=1e-12
             )
 
     def test_symmetric_views(self):
@@ -165,7 +173,7 @@ class TestObjectiveOnline:
         data = MultiViewDataset(views=(x, x.copy()))
         resid = float(np.sum((x - u @ m) ** 2))
         got = objective_online(
-            data, AssignmentMatrix(u), CenterSet((m, m.copy())), np.array([0.5, 0.5]), 2.0, 0.0
+            data, u, CenterSet((m, m.copy())), np.array([0.5, 0.5]), 2.0, 0.0
         )
         assert got == pytest.approx(2 * 0.25 * resid, rel=1e-12)
 
@@ -179,7 +187,7 @@ class TestObjectiveOnline:
         alpha = np.array([0.3, 0.7])
         data = MultiViewDataset(views=(x1, x2))
         got = objective_online(
-            data, AssignmentMatrix(u), CenterSet((m1, m2)), alpha, 1.7, 0.9
+            data, u, CenterSet((m1, m2)), alpha, 1.7, 0.9
         )
         want = oracles.objective_online_bruteforce(
             (x1, x2), u.tolist(), (m1.tolist(), m2.tolist()), alpha, 1.7, 0.9
@@ -204,7 +212,7 @@ class TestSquaredSums:
 
         alpha, r, eta = np.array([0.3, 0.7]), 1.7, 0.9
         got = objective_online(
-            MultiViewDataset(views=views), AssignmentMatrix(u), CenterSet(centers), alpha, r, eta
+            MultiViewDataset(views=views), u, CenterSet(centers), alpha, r, eta
         )
         terms = [a**r * d for a, d in zip(alpha, want)] + [eta * oracles.sq_sum_fsum(u)]
         assert got == pytest.approx(math.fsum(terms), rel=1e-13, abs=0)
@@ -235,16 +243,6 @@ class TestValidate:
             [[1.0, 0.0], [0.0, 1.0]], [np.array([[1.0, -0.5], [0.0, 1.0]])], nonneg=True
         )
         assert ("center-nonneg", (0, 0, 1)) in validate(res)
-
-    def test_hard_label_mismatch(self):
-        a = AssignmentMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
-        a.entries[0] = [0.1, 0.9]
-        res = ClusterResult(
-            assignment=a,
-            centers=CenterSet((np.eye(2),)),
-            weights=np.array([1.0]),
-        )
-        assert ("hard-labels", 0) in validate(res)
 
     def test_trace_monotonicity_checked_for_rkmc(self):
         res = make_result(

@@ -18,7 +18,6 @@ from orkmc.dataio import (
 from orkmc.datagen import SimSpec, generate
 from orkmc.errors import ParseError
 from orkmc.model import (
-    AssignmentMatrix,
     CenterSet,
     ClusterResult,
 )
@@ -27,7 +26,7 @@ from orkmc.model import (
 def small_result():
     u = np.array([[0.75, 0.25], [0.1, 0.9], [0.6, 0.4]])
     return ClusterResult(
-        assignment=AssignmentMatrix(u),
+        assignment=u,
         centers=CenterSet((np.array([[1.5, -2.25], [0.125, 3.5]]),)),
         weights=np.array([1.0]),
         objective_trace=(3.125, 1.0625),
@@ -187,7 +186,7 @@ class TestResultJson:
         save_result(res, path)
         doc = load_result(path)
         assert doc["result"] == [1, 2, 1]  # 1-based hard labels
-        assert np.array_equal(np.array(doc["U"]), res.assignment.entries)
+        assert np.array_equal(np.array(doc["U"]), res.assignment)
         assert np.array_equal(np.array(doc["center"][0]), res.centers.centers[0])
         assert doc["weight"] == [1.0]
         assert doc["nmi"] == 0.75
@@ -208,7 +207,7 @@ class TestResultJson:
         rng = np.random.default_rng(1)
         u = rng.dirichlet(np.ones(3), size=4)
         res = ClusterResult(
-            assignment=AssignmentMatrix(u),
+            assignment=u,
             centers=CenterSet((rng.normal(size=(3, 2)),)),
             weights=np.array([1.0]),
         )

@@ -22,7 +22,7 @@ from orkmc.cli import main
 from orkmc.dataio import RESULT_BLOCK_ROWS, load_result, read_matrix, save_result
 from orkmc.datagen import SimSpec, generate
 from orkmc.errors import ParseError
-from orkmc.model import AssignmentMatrix, HyperParams
+from orkmc.model import HyperParams
 from orkmc.offline import rkmc_fit
 from orkmc.online import orkmc_run
 
@@ -181,8 +181,8 @@ def test_loadtxt_path_matches_row_loop(csv_file, case):
 def reference_doc(result):
     """The result document, built the way ``save_result`` assembles it."""
     return {
-        "result": (np.asarray(result.assignment.hard_labels) + 1).tolist(),
-        "U": result.assignment.entries.tolist(),
+        "result": (result.labels + 1).tolist(),
+        "U": result.assignment.tolist(),
         "weight": result.weights.tolist(),
         "center": [m.tolist() for m in result.centers.centers],
         "nmi": None if result.nmi is None else float(result.nmi),
@@ -214,9 +214,9 @@ def fitted_results():
 def test_result_bytes_equal_one_shot_dumps(tmp_path, capsys, fitted_results, kind, n_rows):
     result = fitted_results[kind]
     if n_rows is not None:
-        k = result.assignment.k
+        k = result.assignment.shape[1]
         u = np.random.default_rng(n_rows).dirichlet(np.ones(k), size=n_rows)
-        result = replace(result, assignment=AssignmentMatrix(u))
+        result = replace(result, assignment=u)
     path = tmp_path / "r.json"
     save_result(result, path)
     doc = reference_doc(result)
@@ -224,21 +224,21 @@ def test_result_bytes_equal_one_shot_dumps(tmp_path, capsys, fitted_results, kin
 
     loaded = load_result(path)
     assert loaded == json.loads(json.dumps(doc))
-    assert np.array_equal(np.array(loaded["U"]), result.assignment.entries)
+    assert np.array_equal(np.array(loaded["U"]), result.assignment)
 
     pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
     labels = np.asarray(loaded["result"])
     pred.write_text("".join(f"{v}\n" for v in labels))
     truth.write_text("".join(f"{v}\n" for v in np.arange(labels.size) % 3 + 1))
     assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--metric", "nmi"]) == 0
-    nmi = metrics.nmi(result.assignment.hard_labels + 1, np.arange(labels.size) % 3 + 1)
+    nmi = metrics.nmi(result.labels + 1, np.arange(labels.size) % 3 + 1)
     assert capsys.readouterr().out == f"nmi,{nmi:.7f}\n"
 
 
 def test_result_write_keeps_memory_to_blocks(tmp_path, monkeypatch, fitted_results):
     """No piece handed to ``json.dumps`` holds more than one block of ``U``."""
     u = np.full((3 * RESULT_BLOCK_ROWS + 5, 3), 1.0 / 3.0)
-    result = replace(fitted_results["kmeans"], assignment=AssignmentMatrix(u))
+    result = replace(fitted_results["kmeans"], assignment=u)
     sizes = []
     dumps = json.dumps
 

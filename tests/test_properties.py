@@ -26,7 +26,7 @@ import oracles
 from orkmc.baselines import kmeans_fit
 from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
 from orkmc.kernels import KKT_TOL, _active_set, assignment_qp, nnls, solve_ridge_normal
-from orkmc.model import AssignmentMatrix, CenterSet, HyperParams, MultiViewDataset, validate
+from orkmc.model import CenterSet, HyperParams, MultiViewDataset, validate
 from orkmc.offline import rkmc_fit, update_M, update_U
 from orkmc.online import orkmc_init, orkmc_run, orkmc_step
 
@@ -86,9 +86,9 @@ def test_simplex_kernel_meets_kkt(case):
 def test_update_u_rows_meet_kkt(case):
     m, x, eta, start = case
     data = MultiViewDataset(views=(x,))
-    u = update_U(data, CenterSet((m,)), AssignmentMatrix(start), eta)
+    u = update_U(data, CenterSet((m,)), start, eta)
     h, c = assignment_qp((x,), (m,), np.ones(1), eta)
-    _assert_rows_kkt(h, c, u.entries)
+    _assert_rows_kkt(h, c, u)
 
 
 @st.composite
@@ -206,7 +206,7 @@ def singular_problems(draw):
         ul = u[:, live]
 
         def call():
-            return update_M(data, AssignmentMatrix(u), prev=prev).centers[0][live]
+            return update_M(data, u, prev=prev).centers[0][live]
 
         if nonneg:
             return "nnls", ul.T @ ul, (ul.T @ x).T, lambda: call().T
@@ -297,7 +297,7 @@ def soft_assignments(draw):
 def test_nonneg_update_m_columns_meet_kkt(case):
     u, x, prev = case
     data = MultiViewDataset(views=(x,))
-    m = update_M(data, AssignmentMatrix(u), prev=CenterSet((prev,)))
+    m = update_M(data, u, prev=CenterSet((prev,)))
     g, rhs = u.T @ u, u.T @ x
     for col in range(x.shape[1]):
         assert max(oracles.nnls_kkt(g, rhs[:, col], m.centers[0][:, col])) <= KKT
@@ -336,10 +336,10 @@ def test_rkmc_fit_is_row_permutation_equivariant(case):
     assert sorted(relabel.tolist()) == list(range(hyper.k))
     scale = max(1.0, np.abs(m).max())
     np.testing.assert_allclose(m_p[relabel], m, rtol=0, atol=1e-9 * scale)
-    np.testing.assert_allclose(res_p.assignment.entries[:, relabel], res.assignment.entries[perm],
+    np.testing.assert_allclose(res_p.assignment[:, relabel], res.assignment[perm],
                                rtol=0, atol=1e-9)
     np.testing.assert_array_equal(
-        relabel[res.assignment.hard_labels[perm]], res_p.assignment.hard_labels
+        relabel[res.labels[perm]], res_p.labels
     )
     assert res_p.objective_trace[-1] == pytest.approx(res.objective_trace[-1], rel=1e-9, abs=0)
 
@@ -385,9 +385,9 @@ def test_kmeans_fit_is_row_permutation_equivariant(case):
     scale = max(1.0, np.abs(m).max())
     np.testing.assert_allclose(m_p[relabel], m, rtol=0, atol=1e-9 * scale)
     np.testing.assert_array_equal(
-        relabel[res.assignment.hard_labels[perm]], res_p.assignment.hard_labels
+        relabel[res.labels[perm]], res_p.labels
     )
-    np.testing.assert_array_equal(res_p.assignment.entries[:, relabel], res.assignment.entries[perm])
+    np.testing.assert_array_equal(res_p.assignment[:, relabel], res.assignment[perm])
     assert len(res_p.objective_trace) == len(res.objective_trace)
     assert res_p.objective_trace[-1] == pytest.approx(res.objective_trace[-1], rel=1e-9, abs=0)
 

@@ -16,7 +16,6 @@ from orkmc.errors import (
 )
 from orkmc.kernels import assignment_qp, cluster_means, one_hot
 from orkmc.model import (
-    AssignmentMatrix,
     CenterSet,
     HyperParams,
     MultiViewDataset,
@@ -49,7 +48,7 @@ class TestRkmcFit:
     def test_two_separated_pairs(self):
         data = MultiViewDataset(views=(np.array([[0.0], [0.1], [10.0], [10.1]]),))
         res = rkmc_fit(data, HyperParams(k=2, eta=0.01, seed=0))
-        assert labels_match_up_to_permutation(res.assignment.hard_labels, [0, 0, 1, 1])
+        assert labels_match_up_to_permutation(res.labels, [0, 0, 1, 1])
         assert validate(res) == []
 
     def test_k_larger_than_n(self):
@@ -59,7 +58,7 @@ class TestRkmcFit:
 
     def test_initial_centers_with_wrong_k_rejected(self):
         data = MultiViewDataset(views=(np.arange(12.0).reshape(4, 3),))
-        u = AssignmentMatrix(np.full((4, 3), 1.0 / 3))
+        u = np.full((4, 3), 1.0 / 3)
         centers = CenterSet((np.zeros((4, 3)),))
         with pytest.raises(DimensionError, match="center matrix 0 has shape"):
             objective_rkmc(data, u, centers, 1.0)
@@ -67,7 +66,7 @@ class TestRkmcFit:
     def test_initial_centers_with_wrong_features_or_views_rejected(self):
         x = np.arange(12.0).reshape(4, 3)
         data = MultiViewDataset(views=(x, x[:, :2]))
-        u = AssignmentMatrix(np.full((4, 2), 0.5))
+        u = np.full((4, 2), 0.5)
         evaluate = lambda *centers: objective_rkmc(data, u, CenterSet(centers), 1.0)
         with pytest.raises(DimensionError, match="center matrix 1 has shape"):
             evaluate(np.zeros((2, 3)), np.zeros((2, 3)))
@@ -100,7 +99,7 @@ class TestRkmcFit:
         hyper = HyperParams(k=k, eta=0.5, max_iter=15, seed=42)
         a = rkmc_fit(data, hyper)
         b = rkmc_fit(data, hyper)
-        assert np.array_equal(a.assignment.entries, b.assignment.entries)
+        assert np.array_equal(a.assignment, b.assignment)
         assert a.objective_trace == b.objective_trace
         for ma, mb in zip(a.centers.centers, b.centers.centers):
             assert np.array_equal(ma, mb)
@@ -120,7 +119,7 @@ class TestRkmcFit:
         hyper = HyperParams(k=3, eta=0.5, max_iter=20, seed=9)
         res = rkmc_fit(data, hyper)
         res_perm = rkmc_fit(data_perm, hyper)
-        assert np.array_equal(res.assignment.hard_labels[perm], res_perm.assignment.hard_labels)
+        assert np.array_equal(res.labels[perm], res_perm.labels)
 
 
 class TestLloydReduction:
@@ -134,7 +133,7 @@ class TestLloydReduction:
             # Iteration 0 is the first assignment; iteration t follows t center steps.
             ours = [nearest_center_labels(x, m.centers[0])]
             for _ in range(12):
-                m = update_M(data, AssignmentMatrix(one_hot(ours[-1], k)), prev=m)
+                m = update_M(data, one_hot(ours[-1], k), prev=m)
                 ours.append(nearest_center_labels(x, m.centers[0]))
             reference = oracles.lloyd_reference(x, centers0, len(ours))
             for t, (got, want) in enumerate(zip(ours, reference)):
@@ -146,14 +145,14 @@ class TestUpdateU:
         m = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         data = MultiViewDataset(views=(m[[1]],))
         u = update_U(data, CenterSet((m,)), None, eta=0.0)
-        np.testing.assert_allclose(u.entries[0], [0.0, 1.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(u[0], [0.0, 1.0, 0.0], atol=1e-6)
 
     def test_huge_eta_pushes_uniform(self):
         rng = np.random.default_rng(12)
         data = MultiViewDataset(views=(rng.normal(size=(5, 3)),))
         m = CenterSet((rng.normal(size=(4, 3)),))
         u = update_U(data, m, None, eta=1e6)
-        np.testing.assert_allclose(u.entries, 0.25, atol=1e-3)
+        np.testing.assert_allclose(u, 0.25, atol=1e-3)
 
     def test_rows_match_enumeration_oracle(self):
         rng = np.random.default_rng(13)
@@ -166,7 +165,7 @@ class TestUpdateU:
         for i in range(5):
             c = 2.0 * (m @ x[i])
             _, val_ref = oracles.row_qp_enum(h, c)
-            row = u.entries[i]
+            row = u[i]
             val = 0.5 * row @ h @ row - c @ row
             assert val == pytest.approx(val_ref, abs=1e-8)
 
@@ -174,7 +173,7 @@ class TestUpdateU:
         rng = np.random.default_rng(14)
         data = MultiViewDataset(views=(rng.normal(size=(20, 2)),))
         m = CenterSet((rng.normal(size=(3, 2)),))
-        u0 = AssignmentMatrix(rng.dirichlet(np.ones(3), size=20))
+        u0 = rng.dirichlet(np.ones(3), size=20)
         before = objective_rkmc(data, u0, m, 0.5)
         u1 = update_U(data, m, u0, eta=0.5)
         after = objective_rkmc(data, u1, m, 0.5)
@@ -189,11 +188,11 @@ class TestUpdateU:
             m = CenterSet(tuple(np.abs(rng.normal(size=(5, v.shape[1]))) for v in data.views))
             u = update_U(data, m, None, eta=eta)
             h, c = assignment_qp(data.views, m.centers, np.ones(2), eta)
-            for row, ci in zip(u.entries, c):
+            for row, ci in zip(u, c):
                 assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-9
             new = update_M(data, u, prev=m)
             for xv, mv in zip(data.views, new.centers):
-                g, b = u.entries.T @ u.entries, u.entries.T @ xv
+                g, b = u.T @ u, u.T @ xv
                 for col in range(xv.shape[1]):
                     assert max(oracles.nnls_kkt(g, b[:, col], mv[:, col])) <= 1e-9
 
@@ -217,9 +216,9 @@ class TestSingularKktFallback:
         data = MultiViewDataset(views=(x,))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RidgeFallbackWarning)
-            u = update_U(data, CenterSet((m,)), AssignmentMatrix(u0), eta=0.0)
+            u = update_U(data, CenterSet((m,)), u0, eta=0.0)
         h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
-        for row, ci in zip(u.entries, c):
+        for row, ci in zip(u, c):
             assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-9
 
     def test_duplicate_centers_at_eta_zero(self):
@@ -228,8 +227,8 @@ class TestSingularKktFallback:
         data = MultiViewDataset(views=(rng.normal(size=(12, 2)),))
         with pytest.warns(RidgeFallbackWarning):
             u = update_U(data, CenterSet((m,)), None, eta=0.0)
-        assert np.all(u.entries >= 0.0)
-        np.testing.assert_allclose(u.entries.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(u >= 0.0)
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
 
     def test_identical_live_columns_in_nnls(self):
         rng = np.random.default_rng(22)
@@ -239,7 +238,7 @@ class TestSingularKktFallback:
         prev = CenterSet((np.abs(rng.normal(size=(3, 2))) + 0.5,), nonneg_enforced=True)
         data = MultiViewDataset(views=(x,))
         with pytest.warns(RidgeFallbackWarning):
-            m = update_M(data, AssignmentMatrix(u), prev=prev)
+            m = update_M(data, u, prev=prev)
         assert np.all(np.isfinite(m.centers[0])) and np.all(m.centers[0] >= 0.0)
         before = float(np.sum((x - u @ prev.centers[0]) ** 2))
         assert float(np.sum((x - u @ m.centers[0]) ** 2)) <= before
@@ -253,7 +252,7 @@ class TestUpdateM:
         u = np.zeros((10, 2))
         u[np.arange(10), labels] = 1.0
         data = MultiViewDataset(views=(x,))
-        m = update_M(data, AssignmentMatrix(u))
+        m = update_M(data, u)
         for kk in range(2):
             np.testing.assert_allclose(
                 m.centers[0][kk], x[labels == kk].mean(axis=0), atol=1e-10
@@ -264,7 +263,7 @@ class TestUpdateM:
         # A third label with no rows keeps its previous center on both paths.
         prev = CenterSet((rng.normal(size=(3, 3)),))
         with pytest.warns(DegenerateClusterWarning):
-            m3 = update_M(data, AssignmentMatrix(one_hot(labels, 3)), prev=prev)
+            m3 = update_M(data, one_hot(labels, 3), prev=prev)
         means3 = cluster_means(x, labels, 3, prev.centers[0])
         np.testing.assert_allclose(means3, m3.centers[0], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(means3[2], prev.centers[0][2])
@@ -275,7 +274,7 @@ class TestUpdateM:
         prev = CenterSet((np.array([[0.0, 0.0], [7.0, 7.0]]),))
         data = MultiViewDataset(views=(x,))
         with pytest.warns(DegenerateClusterWarning):
-            m = update_M(data, AssignmentMatrix(u), prev=prev)
+            m = update_M(data, u, prev=prev)
         np.testing.assert_allclose(m.centers[0][1], [7.0, 7.0])
         np.testing.assert_allclose(m.centers[0][0], x.mean(axis=0), atol=1e-12)
 
@@ -284,7 +283,7 @@ class TestUpdateM:
         x = rng.normal(size=(6, 2))
         u = rng.dirichlet(np.ones(3), size=6)
         data = MultiViewDataset(views=(x,))
-        m = update_M(data, AssignmentMatrix(u))
+        m = update_M(data, u)
         ref = np.linalg.pinv(u) @ x
         np.testing.assert_allclose(m.centers[0], ref, atol=1e-10)
 
@@ -299,7 +298,7 @@ class TestUpdateM:
             data = MultiViewDataset(views=(x,))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RidgeFallbackWarning)
-                m = update_M(data, AssignmentMatrix(u))
+                m = update_M(data, u)
             mv = m.centers[0]
             assert np.all(np.isfinite(mv))
             assert [w.category for w in caught] == [RidgeFallbackWarning], seed
@@ -311,16 +310,29 @@ class TestUpdateM:
         x = np.abs(rng.normal(size=(12, 2)))
         u = rng.dirichlet(np.ones(3), size=12)
         data = MultiViewDataset(views=(x,))
-        m = update_M(data, AssignmentMatrix(u))
+        m = update_M(data, u)
         assert all(float(mv.min()) >= 0.0 for mv in m.centers)
 
+    def test_nonneg_is_decided_by_the_data(self):
+        # U has linearly independent columns, so U'U is regular.
+        rng = np.random.default_rng(19)
+        views = (np.abs(rng.normal(size=(12, 2))), np.abs(rng.normal(size=(12, 3))))
+        u = rng.dirichlet(np.ones(3), size=12)
+        data = MultiViewDataset(views=views)
+        assert data.nonneg
+        assert update_M(data, u).nonneg_enforced
+        neg = views[1].copy()
+        neg[4, 2] = -1e-3
+        data = MultiViewDataset(views=(views[0], neg))
+        assert not data.nonneg
+        assert not update_M(data, u).nonneg_enforced
     def test_residual_never_increases(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(15, 3))
         u = rng.dirichlet(np.ones(3), size=15)
         data = MultiViewDataset(views=(x,))
         prev = CenterSet((rng.normal(size=(3, 3)),))
-        new = update_M(data, AssignmentMatrix(u), prev=prev)
+        new = update_M(data, u, prev=prev)
         before = float(np.sum((x - u @ prev.centers[0]) ** 2))
         after = float(np.sum((x - u @ new.centers[0]) ** 2))
         assert after <= before + 1e-9
