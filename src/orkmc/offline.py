@@ -196,7 +196,6 @@ def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
         )
 
     metadata = {
-        "n_restarts": N_RESTARTS,
         "restart_used": restart_used,
         "enforce_center_nonneg": best["m"].nonneg_enforced,
         "reseed_steps": list(best["reseed_steps"]),

@@ -73,8 +73,8 @@ class OnlineState:
 
     ``weights`` is the view-weight vector alpha of shape (V,); each view's
     residual enters the objective weighted by ``alpha_v ** hyper.r``.
-    ``n_grad`` is the number of projected-gradient sweeps each arrival's row
-    gets.  ``frozen_at`` is the ``t`` after the arrival that froze the centers
+    ``n_grad`` (read-only) is the number of projected-gradient sweeps each
+    arrival's row gets, ``min(DEFAULT_N_GRAD, hyper.max_iter)``.  ``frozen_at`` is the ``t`` after the arrival that froze the centers
     and weights, or ``None`` while they still move.
     """
 
@@ -85,12 +85,15 @@ class OnlineState:
     counts: np.ndarray
     resid_sums: np.ndarray
     u_sq_sum: float
-    n_grad: int
     frozen_at: Optional[int] = None
 
     @property
     def t(self) -> int:
         return len(self.U_rows)
+
+    @property
+    def n_grad(self) -> int:
+        return min(DEFAULT_N_GRAD, self.hyper.max_iter)
 
     def surrogate_objective(self) -> float:
         """Cumulative weighted at-assignment residual plus the regularizer.
@@ -119,8 +122,8 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     Centers are seeded by kmeans++ at K distinct batch rows
     (:func:`~orkmc._util.select_initial_rows`) and the view weights start
     uniform at 1/V.  Up to ``max_iter`` times, every batch row gets the
-    assignment update (from the uniform row, ``min(DEFAULT_N_GRAD, max_iter)``
-    sweeps) that arrivals get, and each center moves to the mean of its
+    assignment update (from the uniform row, ``OnlineState.n_grad`` sweeps)
+    that arrivals get, and each center moves to the mean of its
     hard-labelled rows, until no center moved by more than ``epsilon``.
     ``counts`` is the final label histogram.  The centers are clamped at zero
     (``CenterSet.nonneg_enforced``) exactly when the batch is nonnegative
@@ -129,7 +132,6 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     hyper = with_initial_batch(hyper, data.n_samples)
     k, t0 = hyper.k, hyper.chushi
     batch = MultiViewDataset(views=tuple(x[:t0] for x in data.views))
-    n_grad = min(DEFAULT_N_GRAD, hyper.max_iter)
     idx = select_initial_rows(batch.stacked, k, hyper.seed, "orkmc-init")
     centers = CenterSet(tuple(x[idx].copy() for x in batch.views), nonneg_enforced=batch.nonneg)
     state = OnlineState(
@@ -140,7 +142,6 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
         counts=np.zeros(k, dtype=np.int64),
         resid_sums=np.zeros(data.n_views),
         u_sq_sum=0.0,
-        n_grad=n_grad,
     )
 
     # Centers at their assigned means keep the per-arrival running-mean
@@ -148,7 +149,7 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     # the loop sets u and hard.
     for _ in range(hyper.max_iter):
         h, c, step = _row_qp(state, batch.views)
-        u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, n_grad)
+        u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, state.n_grad)
         hard = np.argmax(u, axis=1)
         drift = 0.0
         for x, mv in zip(batch.views, centers.centers):
@@ -248,11 +249,7 @@ def orkmc_run(
             progress(state.t, trace[-1], state.weights.copy())
     elapsed = time.perf_counter() - t_start
 
-    metadata = {
-        "n_grad": state.n_grad,
-        "frozen_at": state.frozen_at,
-        "counts": state.counts.tolist(),
-    }
+    metadata = {"frozen_at": state.frozen_at, "counts": state.counts.tolist()}
     return fit_result(
         data, state.hyper, "orkmc", np.array(state.U_rows), state.centers, trace, elapsed,
         metadata, state.weights,

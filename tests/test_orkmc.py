@@ -1,6 +1,7 @@
 """Online solver: state invariants, step math, streaming properties."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ class TestInit:
         data = MultiViewDataset(views=(x, x + 1.0))
         state = orkmc_init(data, HyperParams(k=3, chushi=20, seed=0))
         np.testing.assert_allclose(state.weights, [0.5, 0.5])
+
+    @pytest.mark.parametrize("max_iter", [4, 100])
+    def test_n_grad_is_read_only(self, max_iter):
+        x, _ = separated_rows(np.random.default_rng(1), 20, 3)
+        state = orkmc_init(MultiViewDataset(views=(x,)), HyperParams(k=3, max_iter=max_iter))
+        assert state.n_grad == min(online.DEFAULT_N_GRAD, max_iter)
+        with pytest.raises(AttributeError):
+            state.n_grad = 200
 
     def test_chushi_equals_k_seeds_prefix_rows(self):
         x = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
@@ -72,10 +81,12 @@ class TestStep:
         data = MultiViewDataset(views=tuple(x + 2.0 * v for v in range(views)))
         return orkmc_init(data, HyperParams(k=k, chushi=n, eta=0.0, seed=3))
 
-    def test_arrival_at_center_is_fixed_point(self):
+    def test_arrival_at_center_is_fixed_point(self, monkeypatch):
         rng = np.random.default_rng(3)
         state = self.make_state(rng)
-        state.n_grad = 200
+        monkeypatch.setattr(online, "DEFAULT_N_GRAD", 200)
+        state.hyper = replace(state.hyper, max_iter=200)
+        assert state.n_grad == 200
         k_probe = 1
         arrival = [state.centers.centers[0][k_probe].copy()]
         before_counts = state.counts.copy()
