@@ -93,13 +93,13 @@ def update_M(
     Per view, ``M_v = argmin ||X_v - U M_v||_F^2``; the views' columns are
     solved together on ``data.stacked``.  When ``data.nonneg`` (every view is
     nonnegative; the dataset decides it once) the centers are kept
-    nonnegative: one
-    :func:`~orkmc.kernels.nnls` call solves every column exactly,
-    warm-started from ``prev``.  Otherwise the normal equations are solved
-    with one Cholesky factorization, or by the ridge rule when the rank test
-    finds them singular.  The returned centers record which rule applied in
-    ``nonneg_enforced``.  Clusters whose soft mass vanished keep their
-    previous centers and a :class:`DegenerateClusterWarning` is emitted.
+    nonnegative: one :func:`~orkmc.kernels.nnls` call solves every column
+    exactly, warm-started from ``prev``.  Otherwise the normal equations are
+    solved with one Cholesky factorization, or by the ridge rule when the
+    rank test finds them singular.  The returned centers record which rule
+    applied in ``nonneg_enforced``.  Clusters whose soft mass vanished keep
+    their previous centers and a :class:`DegenerateClusterWarning` is
+    emitted.
     """
     k = u.shape[1]
     mass = u.sum(axis=0)

@@ -74,8 +74,9 @@ class OnlineState:
     ``weights`` is the view-weight vector alpha of shape (V,); each view's
     residual enters the objective weighted by ``alpha_v ** hyper.r``.
     ``n_grad`` (read-only) is the number of projected-gradient sweeps each
-    arrival's row gets, ``min(DEFAULT_N_GRAD, hyper.max_iter)``.  ``frozen_at`` is the ``t`` after the arrival that froze the centers
-    and weights, or ``None`` while they still move.
+    arrival's row gets, ``min(DEFAULT_N_GRAD, hyper.max_iter)``.
+    ``frozen_at`` is the ``t`` after the arrival that froze the centers and
+    weights, or ``None`` while they still move.
     """
 
     hyper: HyperParams

@@ -53,8 +53,6 @@ class TestMultiViewDataset:
         assert data.stacked is data.stacked
         assert not data.stacked.flags.writeable
         np.testing.assert_array_equal(data.stacked, np.hstack(data.views))
-        with pytest.raises(ValueError):
-            data.stacked[0, 0] = 1.0
 
 
 class TestClusterResult:
