@@ -50,7 +50,9 @@ def _as_matrix(a, what: str) -> np.ndarray:
 class MultiViewDataset:
     """V aligned sample matrices; view v has shape (N, J_v).
 
-    ``stacked`` and ``nonneg`` are computed on first read and kept.
+    ``stacked`` and ``nonneg`` are computed on first read and kept.  A view
+    that is already C-contiguous float64 is the caller's own array, not a
+    copy: changing it in place after that first read leaves both stale.
     """
 
     views: tuple
