@@ -59,7 +59,7 @@ def kmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     k = hyper.k
     x = data.stacked
     t0 = time.perf_counter()
-    centers = x[select_initial_rows(x, k, hyper.seed, "kmeans-init")].copy()
+    centers = x[select_initial_rows(x, k, hyper.seed, "kmeans-init")]
     labels = None
     trace: list[float] = []
     for _ in range(hyper.max_iter):
@@ -152,7 +152,7 @@ def pkmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
         raise ConfigError("power K-means is a single-view algorithm")
     x = data.views[0]
     t0 = time.perf_counter()
-    centers = x[select_initial_rows(x, k, hyper.seed, "pkmeans-init")].copy()
+    centers = x[select_initial_rows(x, k, hyper.seed, "pkmeans-init")]
     s = POWER_S0
     trace: list[float] = []
     for _ in range(hyper.max_iter):
@@ -189,7 +189,7 @@ def ogd_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     k = hyper.k
     t0 = time.perf_counter()
     seeds = select_initial_rows(x[:hyper.chushi], k, hyper.seed, "ogd-init")
-    centers = x[seeds].copy()
+    centers = x[seeds]
     counts = np.ones(k)
     labels = np.zeros(n, dtype=np.intp)
     labels[seeds] = np.arange(k)
@@ -214,11 +214,11 @@ def ogd_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     )
 
 
-def mu_update_rows(u: np.ndarray, views, center_mats) -> np.ndarray:
+def mu_update_rows(u: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Multiplicative update of assignment rows for the joint reconstruction
-    error over views; preserves nonnegativity.  ``assignment_qp`` at eta = 0
-    gives both sums doubled, so ``MU_DELTA`` is doubled too."""
-    h, c = assignment_qp(views, center_mats, np.ones(len(views)), 0.0)
+    error over views; preserves nonnegativity.  ``(h, c)`` is the rows' QP,
+    ``assignment_qp(views, center_mats, np.ones(V), 0.0)``, whose sums are
+    doubled, so ``MU_DELTA`` is doubled too."""
     return u * c / (u @ h + 2.0 * MU_DELTA)
 
 
@@ -276,9 +276,10 @@ def omu_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
         center_mats.append(avg * np.abs(rng.standard_normal((k, x.shape[1]))) + 1e-9)
 
     batch_views = [x[:chushi] for x in views]
+    ones = np.ones(len(views))
     trace: list[float] = []
     for _ in range(max_iter):
-        u_batch = mu_update_rows(u_batch, batch_views, center_mats)
+        u_batch = mu_update_rows(u_batch, *assignment_qp(batch_views, center_mats, ones, 0.0))
         for v, x in enumerate(batch_views):
             center_mats[v] = mu_update_centers(
                 center_mats[v], u_batch.T @ x, u_batch.T @ u_batch
@@ -292,9 +293,10 @@ def omu_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     inner = max(1, min(10, max_iter))
     for i in range(chushi, n):
         xs = [x[i] for x in views]
+        h, c = assignment_qp([x[None, :] for x in xs], center_mats, ones, 0.0)
         u = np.full(k, 1.0 / k)
         for _ in range(inner):
-            u = mu_update_rows(u[None, :], [x[None, :] for x in xs], center_mats)[0]
+            u = mu_update_rows(u[None, :], h, c)[0]
         u = _normalize_rows(u[None, :])[0]
         suu += np.outer(u, u)
         for v, x in enumerate(xs):

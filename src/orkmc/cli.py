@@ -160,7 +160,7 @@ def cmd_simulate(args) -> int:
         if scenario.n_grid is not None:
             paths = []
             for n in scenario.n_grid:
-                spec = replace(scenario.spec_for(n), seed=args.seed)
+                spec = replace(scenario.sim, n=n, seed=args.seed)
                 sub = os.path.join(args.out_dir, f"n{n}")
                 paths.append(dataio.save_dataset(datagen.generate(spec), sub))
             for p in paths:
@@ -223,7 +223,7 @@ def _bench_suite(suite: str):
     suite, or None when the suite's data files are missing."""
     if suite in ("case1-single", "case2-multi"):
         scenario = datagen.preset(suite)
-        settings = dict(k=scenario.sim.k, eta=scenario.eta, chushi=scenario.chushi_for(),
+        settings = dict(k=scenario.sim.k, eta=scenario.eta, chushi=scenario.chushi,
                         max_iter=100)
         return suite, lambda seed: datagen.generate(replace(scenario.sim, seed=seed)), settings
     if suite == "qcm":

@@ -9,7 +9,7 @@ presets reproduce the benchmark scenario sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -122,8 +122,10 @@ def add_shuffled_noise_view(data: MultiViewDataset, seed: int = 0) -> MultiViewD
 class ScenarioPreset:
     """A named scenario: the data spec plus the solver defaults it carries.
 
-    Fixed presets have ``n_grid=None``; stability presets describe a sweep over
-    sample sizes, with the initial batch size tracking ``n // 2``.
+    Fixed presets have ``n_grid=None`` and an integer initial batch size
+    ``chushi``; stability presets describe a sweep over the sample sizes in
+    ``n_grid`` (``orkmc simulate`` writes one dataset per size) and carry
+    ``chushi=None``.
     """
 
     name: str
@@ -131,14 +133,6 @@ class ScenarioPreset:
     eta: float
     chushi: Optional[int]
     n_grid: Optional[tuple] = None
-
-    def spec_for(self, n: int) -> SimSpec:
-        return replace(self.sim, n=n)
-
-    def chushi_for(self, n: Optional[int] = None) -> int:
-        if self.chushi is not None:
-            return self.chushi
-        return (self.sim.n if n is None else n) // 2
 
 
 _PRESETS = {

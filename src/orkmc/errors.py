@@ -34,7 +34,7 @@ class RidgeFallbackWarning(RuntimeWarning):
 
 
 class DegenerateClusterWarning(RuntimeWarning):
-    """A cluster went empty (or nearly so) and its center was frozen or re-seeded."""
+    """A cluster's soft mass vanished and its center was frozen."""
 
 
 class DataWarning(UserWarning):

@@ -24,7 +24,6 @@ by :func:`validate`, which reports violations instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -50,14 +49,18 @@ def _as_matrix(a, what: str) -> np.ndarray:
 class MultiViewDataset:
     """V aligned sample matrices; view v has shape (N, J_v).
 
-    ``stacked`` and ``nonneg`` are computed on first read and kept.  A view
-    that is already C-contiguous float64 is the caller's own array, not a
-    copy: changing it in place after that first read leaves both stale.
+    The dataset owns one read-only float64 block, ``stacked`` (N x sum(J_v),
+    the column-concatenation of the views), built at construction; each view
+    is a read-only column view of it.  ``nonneg`` (every view is
+    nonnegative) is decided from it once.  Changing the caller's arrays
+    afterwards changes none of these.
     """
 
     views: tuple
     labels: Optional[np.ndarray] = None
     name: str = ""
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    nonneg: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.views) < 1:
@@ -74,7 +77,12 @@ class MultiViewDataset:
                 raise ValidationError(
                     f"view {i} has a non-finite entry at row {bad[0]}, column {bad[1]}"
                 )
-        object.__setattr__(self, "views", views)
+        stacked = np.hstack(views)
+        stacked.flags.writeable = False
+        cuts = np.cumsum([v.shape[1] for v in views])[:-1]
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "views", tuple(np.split(stacked, cuts, axis=1)))
+        object.__setattr__(self, "nonneg", bool(stacked.min() >= 0.0))
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.ndim != 1:
@@ -96,19 +104,6 @@ class MultiViewDataset:
     @property
     def feature_counts(self) -> tuple:
         return tuple(v.shape[1] for v in self.views)
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """Column-concatenation of all views (N x sum(J_v)), read-only."""
-        x = np.hstack(self.views)
-        x.flags.writeable = False
-        return x
-
-    @cached_property
-    def nonneg(self) -> bool:
-        """The center constraint: centers are kept nonnegative exactly when
-        every view of the data is nonnegative."""
-        return bool(self.stacked.min() >= 0.0)
 
     def take_rows(self, idx) -> "MultiViewDataset":
         idx = np.asarray(idx)
@@ -409,11 +404,8 @@ def validate(obj) -> list:
     if obj.nmi is not None and not (0.0 <= obj.nmi <= 1.0):
         out.append(("nmi-range", None))
     if obj.metadata.get("algorithm") == "rkmc":
-        skip = set(obj.metadata.get("reseed_steps", ()))
         trace = obj.objective_trace
         for i in range(1, len(trace)):
-            if i in skip:
-                continue
             if not trace[i] <= trace[i - 1] + 1e-9:
                 out.append(("objective-trace", int(i)))
     return out

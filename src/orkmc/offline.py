@@ -14,10 +14,11 @@ shared Gram matrix ``U_live' U_live``, so every view's columns are solved
 together: one Cholesky of the normal equations for mixed-sign data, or, when
 the data is nonnegative, one batched NNLS warm-started from the previous
 centers.  Both half-steps are monotone, so the objective trace never
-increases outside of logged center re-seed events.  Each solve decides once,
-by a rank test on its Hessian or Gram matrix (``kernels._singular``), whether
-its systems are singular; a singular one takes the ridge rule and warns
-``RidgeFallbackWarning`` once.
+increases.  The one empty-cluster rule is ``update_M``'s zero-mass freeze: a
+cluster whose soft mass vanished keeps its previous center.  Each solve
+decides once, by a rank test on its Hessian or Gram matrix
+(``kernels._singular``), whether its systems are singular; a singular one
+takes the ridge rule and warns ``RidgeFallbackWarning`` once.
 
 :func:`rkmc_fit` is called as ``rkmc_fit(data, hyper)``, like every other
 solver; the data and the hyperparameters alone decide its result.
@@ -51,7 +52,6 @@ from .model import (
 )
 
 DEAD_MASS = 1e-12
-RESEED_AFTER = 3
 # Projected-gradient sweeps that pick each assignment row's starting face
 # before the exact active-set solve (More & Toraldo 1991).
 FACE_SWEEPS = 2
@@ -99,7 +99,7 @@ def update_M(
     rank test finds them singular.  The returned centers record which rule
     applied in ``nonneg_enforced``.  Clusters whose soft mass vanished keep
     their previous centers and a :class:`DegenerateClusterWarning` is
-    emitted.
+    emitted; this freeze is RKMC's one empty-cluster rule.
     """
     k = u.shape[1]
     mass = u.sum(axis=0)
@@ -122,19 +122,9 @@ def update_M(
     return CenterSet.from_stacked(m, data.feature_counts, data.nonneg)
 
 
-def _per_row_residual(data: MultiViewDataset, u: np.ndarray, m: CenterSet) -> np.ndarray:
-    r = np.zeros(data.n_samples)
-    for x, mv in zip(data.views, m.centers):
-        diff = x - u @ mv
-        r += (diff * diff).sum(axis=1)
-    return r
-
-
 def _fit_once(data: MultiViewDataset, hyper: HyperParams, m: CenterSet) -> dict:
     u = update_U(data, m, None, hyper.eta)
     trace = [objective_rkmc(data, u, m, hyper.eta)]
-    empty_streak = np.zeros(hyper.k, dtype=int)
-    reseed_steps: list[int] = []
     converged = False
     for _ in range(hyper.max_iter):
         m_new = update_M(data, u, prev=m)
@@ -144,26 +134,10 @@ def _fit_once(data: MultiViewDataset, hyper: HyperParams, m: CenterSet) -> dict:
         m = m_new
         u = update_U(data, m, u, hyper.eta)
         trace.append(objective_rkmc(data, u, m, hyper.eta))
-
-        counts = np.bincount(np.argmax(u, axis=1), minlength=hyper.k)
-        empty_streak = np.where(counts == 0, empty_streak + 1, 0)
-        stale = np.flatnonzero(empty_streak >= RESEED_AFTER)
-        if stale.size:
-            resid = _per_row_residual(data, u, m)
-            centers = [mv.copy() for mv in m.centers]
-            for k_idx in stale:
-                far = int(np.argmax(resid))
-                for v, x in enumerate(data.views):
-                    centers[v][k_idx] = x[far]
-                resid[far] = -np.inf
-                empty_streak[k_idx] = 0
-            m = CenterSet(tuple(centers), nonneg_enforced=m.nonneg_enforced)
-            reseed_steps.append(len(trace))
-
         if delta <= hyper.epsilon:
             converged = True
             break
-    return {"u": u, "m": m, "trace": trace, "reseed_steps": reseed_steps, "converged": converged}
+    return {"u": u, "m": m, "trace": trace, "converged": converged}
 
 
 def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
@@ -183,7 +157,7 @@ def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     best, restart_used = None, -1
     for r in range(N_RESTARTS):
         idx = select_initial_rows(stacked, hyper.k, hyper.seed, f"rkmc-init-{r}")
-        m = CenterSet(tuple(x[idx].copy() for x in data.views))
+        m = CenterSet(tuple(x[idx] for x in data.views))
         fit = _fit_once(data, hyper, m)
         if best is None or fit["trace"][-1] < best["trace"][-1]:
             best, restart_used = fit, r
@@ -198,7 +172,6 @@ def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     metadata = {
         "restart_used": restart_used,
         "enforce_center_nonneg": best["m"].nonneg_enforced,
-        "reseed_steps": list(best["reseed_steps"]),
         "converged": best["converged"],
     }
     return fit_result(data, hyper, "rkmc", best["u"], best["m"], best["trace"], elapsed, metadata)

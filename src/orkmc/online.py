@@ -134,7 +134,7 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     k, t0 = hyper.k, hyper.chushi
     batch = MultiViewDataset(views=tuple(x[:t0] for x in data.views))
     idx = select_initial_rows(batch.stacked, k, hyper.seed, "orkmc-init")
-    centers = CenterSet(tuple(x[idx].copy() for x in batch.views), nonneg_enforced=batch.nonneg)
+    centers = CenterSet(tuple(x[idx] for x in batch.views), nonneg_enforced=batch.nonneg)
     state = OnlineState(
         hyper=hyper,
         U_rows=[],

@@ -141,7 +141,7 @@ def _restart_margin(data, seed) -> float:
     finals = []
     for r in range(N_RESTARTS):
         idx = select_initial_rows(data.stacked, 3, seed, f"rkmc-init-{r}")
-        start = CenterSet(tuple(x[idx].copy() for x in data.views))
+        start = CenterSet(tuple(x[idx] for x in data.views))
         finals.append(_fit_once(data, hyper, start)["trace"][-1])
     return abs(finals[0] - finals[1]) / max(abs(f) for f in finals)
 

@@ -19,6 +19,7 @@ from orkmc.baselines import (
     power_mm_step,
 )
 from orkmc.errors import ConfigError
+from orkmc.kernels import assignment_qp
 from orkmc.model import HyperParams, MultiViewDataset, validate
 from orkmc.datagen import SimSpec, generate
 
@@ -170,7 +171,7 @@ class TestOmu:
         u0 = rng.dirichlet(np.ones(2), size=8)
         m0 = np.abs(rng.normal(size=(2, 3))) + 0.1
         x = u0 @ m0
-        u1 = mu_update_rows(u0, [x], [m0])
+        u1 = mu_update_rows(u0, *assignment_qp([x], [m0], np.ones(1), 0.0))
         np.testing.assert_allclose(u1, u0, atol=1e-9)
         m1 = mu_update_centers(m0, u0.T @ x, u0.T @ u0)
         np.testing.assert_allclose(m1, m0, atol=1e-9)
@@ -183,7 +184,7 @@ class TestOmu:
             u = np.abs(rng.normal(size=(n, k))) + 1e-6
             m = np.abs(rng.normal(size=(k, j))) + 1e-6
             for _ in range(10):
-                u = mu_update_rows(u, [x], [m])
+                u = mu_update_rows(u, *assignment_qp([x], [m], np.ones(1), 0.0))
                 m = mu_update_centers(m, u.T @ x, u.T @ u)
                 assert np.all(u >= 0) and np.all(m >= 0)
 

@@ -285,6 +285,20 @@ class TestSimulate:
         n_rows = len((out_dir / "view_1.csv").read_text().strip().splitlines())
         assert n_rows == 210
 
+    def test_stability_preset_writes_one_dataset_per_n(self, capsys, tmp_path):
+        out_dir = tmp_path / "s"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--preset", "stability-single", "--seed", "3",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        grid = range(100, 1001, 20)
+        assert out.splitlines() == [str(out_dir / f"n{n}" / "manifest.json") for n in grid]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"n{n}" for n in grid)
+        for n in grid:
+            rows = (out_dir / f"n{n}" / "view_1.csv").read_text().strip().splitlines()
+            assert len(rows) == n
+
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         blobs = []
         for name in ("a", "b"):

@@ -49,10 +49,20 @@ class TestMultiViewDataset:
         assert data.n_views == 1 and data.n_samples == 2
 
     def test_stacked_is_one_read_only_array(self):
-        data = MultiViewDataset(views=(np.arange(6.0).reshape(3, 2), np.ones((3, 1))))
+        x, y = np.arange(6.0).reshape(3, 2), np.ones((3, 1))
+        data = MultiViewDataset(views=(x, y))
         assert data.stacked is data.stacked
         assert not data.stacked.flags.writeable
         np.testing.assert_array_equal(data.stacked, np.hstack(data.views))
+        for v in data.views:
+            assert not v.flags.writeable
+            assert np.shares_memory(v, data.stacked)
+        before = [x.copy(), y.copy()]
+        x[0, 0], y[1, 0] = -5.0, 7.0
+        for v, want in zip(data.views, before):
+            np.testing.assert_array_equal(v, want)
+        np.testing.assert_array_equal(data.stacked, np.hstack(before))
+        assert data.nonneg
 
 
 class TestClusterResult:

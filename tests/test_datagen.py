@@ -117,8 +117,6 @@ class TestPresets:
         p = preset("stability-single")
         assert p.n_grid is not None
         assert p.n_grid[0] == 100 and p.n_grid[-1] == 1000
-        assert p.chushi_for(240) == 120
-        assert isinstance(p.spec_for(240), SimSpec)
 
     def test_unknown_preset(self):
         with pytest.raises(UsageError, match="valid presets"):

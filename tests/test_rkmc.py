@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from orkmc.baselines import nearest_center_labels
+from orkmc.datagen import SimSpec, generate
 from orkmc.errors import (
     ConfigError,
     DataWarning,
@@ -87,11 +88,23 @@ class TestRkmcFit:
                 data, k = random_instance(rng)
                 res = rkmc_fit(data, HyperParams(k=k, eta=eta, max_iter=25, seed=1))
                 trace = res.objective_trace
-                skip = set(res.metadata["reseed_steps"])
                 for i in range(1, len(trace)):
-                    if i in skip:
-                        continue
                     assert trace[i] <= trace[i - 1] + 1e-9
+
+    @pytest.mark.filterwarnings("ignore::orkmc.errors.RidgeFallbackWarning")
+    def test_returned_centers_give_the_final_objective(self):
+        rng = np.random.default_rng(12)
+        cases = [(generate(SimSpec(n=60, k=2, v=1, j=2, seed=0)), 4, 20.0, 30)]
+        for eta in (0.0, 1.0, 20.0):
+            for _ in range(6):
+                data, k = random_instance(rng)
+                cases.append((data, k, eta, 30))
+        for data, k, eta, max_iter in cases:
+            res = rkmc_fit(data, HyperParams(k=k, eta=eta, max_iter=max_iter))
+            assert objective_rkmc(data, res.assignment, res.centers, eta) == res.objective_trace[-1]
+            assert sorted(res.metadata) == [
+                "algorithm", "converged", "enforce_center_nonneg", "hyper", "restart_used",
+            ]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
