@@ -33,6 +33,7 @@ from .model import (
     MultiViewDataset,
     fit_result,
     view_residuals,
+    view_starts,
     with_initial_batch,
 )
 
@@ -217,14 +218,15 @@ def ogd_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
 def mu_update_rows(u: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Multiplicative update of assignment rows for the joint reconstruction
     error over views; preserves nonnegativity.  ``(h, c)`` is the rows' QP,
-    ``assignment_qp(views, center_mats, np.ones(V), 0.0)``, whose sums are
-    doubled, so ``MU_DELTA`` is doubled too."""
+    ``assignment_qp(x, m, np.ones(sum(J_v)), 0.0)`` on the stacked data and
+    centers, whose sums are doubled, so ``MU_DELTA`` is doubled too."""
     return u * c / (u @ h + 2.0 * MU_DELTA)
 
 
 def mu_update_centers(m: np.ndarray, utx: np.ndarray, utu: np.ndarray) -> np.ndarray:
-    """Multiplicative update of one view's centers from (accumulated)
-    sufficient statistics U'X and U'U; preserves nonnegativity."""
+    """Multiplicative update of the centers from (accumulated) sufficient
+    statistics U'X and U'U; preserves nonnegativity.  Each column is updated
+    on its own, so one call updates the stacked centers of every view."""
     return m * utx / (utu @ m + MU_DELTA)
 
 
@@ -275,37 +277,35 @@ def omu_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
         avg = np.sqrt(max(float(x.mean()), 0.0) / k)
         center_mats.append(avg * np.abs(rng.standard_normal((k, x.shape[1]))) + 1e-9)
 
-    batch_views = [x[:chushi] for x in views]
-    ones = np.ones(len(views))
+    x = np.hstack(views)
+    m = np.hstack(center_mats)
+    starts = view_starts(data.feature_counts)
+    ones = np.ones(x.shape[1])
+    xb = x[:chushi]
     trace: list[float] = []
     for _ in range(max_iter):
-        u_batch = mu_update_rows(u_batch, *assignment_qp(batch_views, center_mats, ones, 0.0))
-        for v, x in enumerate(batch_views):
-            center_mats[v] = mu_update_centers(
-                center_mats[v], u_batch.T @ x, u_batch.T @ u_batch
-            )
-        trace.append(float(view_residuals(batch_views, u_batch, center_mats).sum()))
+        u_batch = mu_update_rows(u_batch, *assignment_qp(xb, m, ones, 0.0))
+        m = mu_update_centers(m, u_batch.T @ xb, u_batch.T @ u_batch)
+        trace.append(float(view_residuals(xb, u_batch, m, starts).sum()))
 
     rows = [_normalize_rows(u_batch)]
     u_norm = rows[0]
     suu = u_norm.T @ u_norm
-    sxv = [u_norm.T @ x for x in batch_views]
+    sux = u_norm.T @ xb
     inner = max(1, min(10, max_iter))
     for i in range(chushi, n):
-        xs = [x[i] for x in views]
-        h, c = assignment_qp([x[None, :] for x in xs], center_mats, ones, 0.0)
+        h, c = assignment_qp(x[i : i + 1], m, ones, 0.0)
         u = np.full(k, 1.0 / k)
         for _ in range(inner):
             u = mu_update_rows(u[None, :], h, c)[0]
         u = _normalize_rows(u[None, :])[0]
         suu += np.outer(u, u)
-        for v, x in enumerate(xs):
-            sxv[v] += np.outer(u, x)
-            center_mats[v] = mu_update_centers(center_mats[v], sxv[v], suu)
+        sux += np.outer(u, x[i])
+        m = mu_update_centers(m, sux, suu)
         rows.append(u[None, :])
     elapsed = time.perf_counter() - t0
 
-    centers = CenterSet(tuple(center_mats), nonneg_enforced=True)
+    centers = CenterSet.from_stacked(m, data.feature_counts, nonneg_enforced=True)
     return fit_result(
         data, hyper, "omu", np.vstack(rows), centers, trace, elapsed, {"min_shift": shifts},
     )

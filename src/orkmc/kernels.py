@@ -10,9 +10,10 @@ has exactly one implementation here:
   K = 5 that costs under a third of the batch form's dozen numpy calls on
   K-element arrays, and its O(K log K) Python arithmetic catches up with them
   only at K of about 40.  The two branches agree to a few ulp.
-* :func:`assignment_qp` -- the Hessian ``H = 2 (sum_v w_v M_v M_v' + eta I)``
-  and linear terms ``c = 2 sum_v w_v X_v M_v'`` of the assignment rows'
-  quadratic ``1/2 u' H u - c' u``.
+* :func:`assignment_qp` -- the Hessian ``H = 2 (M W M' + eta I)`` and linear
+  terms ``c = 2 X W M'`` of the assignment rows' quadratic ``1/2 u' H u - c' u``,
+  built on the stacked data ``X`` and centers ``M`` with the per-column view
+  weights ``W = diag(w)``: about five numpy calls for any number of views.
 * :func:`pg_step` -- the projected-gradient step length ``1/lambda_max(H)``.
 * ``_pgd_rows`` -- a fixed number of projected-gradient sweeps on a batch of
   rows (ORKMC's per-arrival update; RKMC's face-finding start), each in the
@@ -67,6 +68,8 @@ KKT_TOL = 1e-10
 # The active-set kernel gives up (with a ConvergenceWarning) after this many
 # rounds per coordinate; exact termination takes far fewer.
 MAX_ROUNDS_PER_DIM = 10
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _project(y: np.ndarray) -> np.ndarray:
@@ -118,21 +121,20 @@ def project_simplex(y) -> np.ndarray:
     return _project(v)
 
 
-def assignment_qp(xs, centers, w, eta: float) -> tuple:
-    """Row-QP data ``(H, c)`` of the assignment update at fixed centers.
+def assignment_qp(x: np.ndarray, m: np.ndarray, w: np.ndarray, eta: float) -> tuple:
+    """Row-QP data ``(H, c)`` of the assignment update at fixed centers, from
+    the stacked data ``x`` (N x sum(J_v), or one sample as a 1-D row), the
+    stacked K x sum(J_v) centers ``m`` and one weight per column ``w``.
 
-    ``H = 2 (sum_v w_v M_v M_v' + eta I)`` is shared by every row and
-    ``c = 2 sum_v w_v X_v M_v'`` has one row per data row (a 1-D ``c`` when
-    every ``X_v`` is a single sample).  The offline solver uses ``w = 1``, the
-    online solver ``w = alpha ** r``.
+    With ``W = diag(w)``, ``H = 2 (M W M' + eta I)`` is shared by every row
+    and ``c = 2 X W M'`` has one row per data row (1-D for a 1-D ``x``).  A
+    view's weight is repeated over its columns: the offline solver and OMU
+    use ``w = 1``, the online solver ``alpha_v ** r`` on view v.
     """
-    k = centers[0].shape[0]
-    h = 2.0 * eta * np.eye(k)
-    c = 0.0
-    for wv, x, mv in zip(w, xs, centers):
-        h += 2.0 * wv * (mv @ mv.T)
-        c += 2.0 * wv * (x @ mv.T)
-    return h, c
+    mw = m * (2.0 * w)
+    h = mw @ m.T
+    h.flat[:: m.shape[0] + 1] += 2.0 * eta
+    return h, x @ mw.T
 
 
 def pg_step(h: np.ndarray) -> float:
@@ -141,7 +143,7 @@ def pg_step(h: np.ndarray) -> float:
     Each step with this length never increases the row objective.
     """
     lmax = float(np.linalg.eigvalsh(h)[-1])
-    return 1.0 / max(lmax * (1.0 + 1e-12), np.finfo(float).tiny)
+    return 1.0 / max(lmax * (1.0 + 1e-12), _TINY)
 
 
 def _pgd_rows(u0: np.ndarray, h: np.ndarray, c: np.ndarray, step: float, sweeps: int) -> tuple:
@@ -200,7 +202,7 @@ def _singular(a: np.ndarray, simplex: bool) -> bool:
         z = np.eye(k, k - 1, -1) - w[:, None]
         a_eff = z.T @ a @ z
     lam = np.linalg.eigvalsh(a_eff)
-    return lam.size > 0 and lam[0] <= k * np.finfo(float).eps * np.linalg.norm(a)
+    return lam.size > 0 and lam[0] <= k * _EPS * np.linalg.norm(a)
 
 
 def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int, ridge: bool) -> np.ndarray:
@@ -253,7 +255,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> 
     if simplex:
         base[:k, k] = base[k, :k] = 1.0
     scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    tol = max(KKT_TOL, 1e3 * np.finfo(float).eps * scale)
+    tol = max(KKT_TOL, 1e3 * _EPS * scale)
     pending = np.ones(n, dtype=bool)
     for _ in range(MAX_ROUNDS_PER_DIM * (k + 1)):
         rows = np.flatnonzero(pending)

@@ -6,7 +6,8 @@ The solvers all speak in terms of these types:
   sample in every view) plus optional ground-truth labels; it also holds the
   two facts the solvers read off the data, its stacked N x sum(J_v) matrix and
   whether every view is nonnegative.
-* :class:`CenterSet` -- per-view K x J_v center matrices.
+* :class:`CenterSet` -- per-view K x J_v center matrices, held as column views
+  of one K x sum(J_v) block.
 * :class:`ClusterResult` -- everything a fit returns: the N x K row-stochastic
   soft-assignment matrix U as a plain array, its hard labels (the row argmax,
   derived on read), and the view weights as the plain simplex vector alpha;
@@ -23,6 +24,8 @@ by :func:`validate`, which reports violations instead of raising.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -117,30 +120,76 @@ class MultiViewDataset:
         return MultiViewDataset(views=(self.views[v],), labels=self.labels, name=self.name)
 
 
-@dataclass(frozen=True)
+def view_starts(feature_counts) -> tuple:
+    """The column of the stacked block where each view's ``J_v`` columns begin."""
+    return tuple(itertools.accumulate(feature_counts[:-1], initial=0))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CenterSet:
-    """Per-view K x J_v center matrices."""
+    """The K x J_v centers of every view, held in one K x sum(J_v) block.
 
-    centers: tuple
-    nonneg_enforced: bool = False
+    ``stacked`` is that float64 block; it is writable, and the online solver
+    moves centers in place on it.  ``centers`` is derived on every read: the
+    per-view matrices as column views of the block, view v at columns
+    ``starts[v]`` to ``starts[v] + feature_counts[v]``.  The block is the one
+    copy, so a write through either form reaches the other, and a
+    ``copy.deepcopy`` of the set (which copies the block) stays one set.
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "centers", tuple(_as_matrix(m, f"center matrix {v}") for v, m in enumerate(self.centers))
-        )
+    ``CenterSet(per_view_matrices)`` copies the matrices into a new block;
+    :meth:`from_stacked` adopts a block as given.
+    """
+
+    stacked: np.ndarray
+    feature_counts: tuple
+    starts: tuple
+    nonneg_enforced: bool
+
+    def __init__(self, centers, nonneg_enforced: bool = False):
+        mats = [_as_matrix(m, f"center matrix {v}") for v, m in enumerate(centers)]
+        if not mats:
+            raise DimensionError("a center set needs at least one view")
+        for v, m in enumerate(mats):
+            if m.shape[0] != mats[0].shape[0]:
+                raise DimensionError(
+                    f"center matrix {v} has {m.shape[0]} rows, expected {mats[0].shape[0]}"
+                )
+        self._adopt(np.hstack(mats), tuple(m.shape[1] for m in mats), nonneg_enforced)
+
+    def _adopt(self, block: np.ndarray, feature_counts: tuple, nonneg_enforced: bool) -> None:
+        object.__setattr__(self, "stacked", block)
+        object.__setattr__(self, "feature_counts", feature_counts)
+        object.__setattr__(self, "starts", view_starts(feature_counts))
+        object.__setattr__(self, "nonneg_enforced", bool(nonneg_enforced))
 
     @classmethod
-    def from_stacked(cls, m: np.ndarray, feature_counts, nonneg_enforced=False) -> "CenterSet":
-        """Split a K x sum(J_v) matrix into per-view blocks of ``feature_counts`` columns."""
-        return cls(tuple(np.split(m, np.cumsum(feature_counts)[:-1], axis=1)), nonneg_enforced)
+    def from_stacked(cls, m, feature_counts, nonneg_enforced=False) -> "CenterSet":
+        """The set on the K x sum(J_v) block ``m`` itself (not a copy, when
+        ``m`` is a contiguous float64 matrix), split into views of
+        ``feature_counts`` columns."""
+        block = _as_matrix(m, "center block")
+        counts = tuple(int(j) for j in feature_counts)
+        if min(counts, default=0) < 1 or sum(counts) != block.shape[1]:
+            raise DimensionError(
+                f"feature counts {counts} do not split {block.shape[1]} center columns"
+            )
+        out = cls.__new__(cls)
+        out._adopt(block, counts, nonneg_enforced)
+        return out
+
+    @property
+    def centers(self) -> tuple:
+        return tuple(
+            self.stacked[:, a : a + j] for a, j in zip(self.starts, self.feature_counts)
+        )
 
     @property
     def k(self) -> int:
-        return self.centers[0].shape[0]
+        return self.stacked.shape[0]
 
     @property
     def n_views(self) -> int:
-        return len(self.centers)
+        return len(self.feature_counts)
 
 
 @dataclass(frozen=True)
@@ -268,28 +317,33 @@ def fit_result(
     )
 
 
-def _conforming(data: MultiViewDataset, u: np.ndarray, m: CenterSet) -> tuple:
-    """``(U, centers)`` as a float64 array and a tuple of arrays, checked
-    against ``data``'s shapes (one K x J_v center matrix per view) and for
-    finiteness."""
+def _conforming(data: MultiViewDataset, u: np.ndarray, m: CenterSet) -> np.ndarray:
+    """``U`` as a float64 array, checked with ``m`` against ``data``'s shapes
+    (one K x J_v center matrix per view) and for finiteness."""
     u = np.asarray(u, dtype=np.float64)
-    centers = m.centers
     n, k = u.shape
     if n != data.n_samples:
         raise DimensionError(f"assignment has {n} rows, dataset has {data.n_samples}")
-    if len(centers) != data.n_views:
-        raise DimensionError(f"{len(centers)} center matrices for {data.n_views} views")
-    for v, m in enumerate(centers):
-        if m.shape != (k, data.views[v].shape[1]):
+    if m.n_views != data.n_views:
+        raise DimensionError(f"{m.n_views} center matrices for {data.n_views} views")
+    for v, (j, jd) in enumerate(zip(m.feature_counts, data.feature_counts)):
+        if (m.k, j) != (k, jd):
             raise DimensionError(
-                f"center matrix {v} has shape {m.shape}, expected {(k, data.views[v].shape[1])}"
+                f"center matrix {v} has shape {(m.k, j)}, expected {(k, jd)}"
             )
     if not np.all(np.isfinite(u)):
         raise ValidationError("assignment matrix has non-finite entries")
-    for v, m in enumerate(centers):
-        if not np.all(np.isfinite(m)):
-            raise ValidationError(f"center matrix {v} has non-finite entries")
-    return u, centers
+    bad = np.flatnonzero(~np.isfinite(m.stacked).all(axis=0))
+    if bad.size:
+        raise ValidationError(
+            f"center matrix {_view_of_column(m.starts, bad[0])} has non-finite entries"
+        )
+    return u
+
+
+def _view_of_column(starts, col: int) -> int:
+    """The view whose columns of the stacked block hold column ``col``."""
+    return bisect.bisect_right(starts, int(col)) - 1
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -299,18 +353,22 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def view_residuals(views, u: np.ndarray, centers) -> np.ndarray:
-    """Squared residual ``||X_v - U M_v||^2`` of each view (1-D ``X_v`` and
-    ``U`` for a single sample).
+def view_residuals(x: np.ndarray, u: np.ndarray, m: np.ndarray, starts) -> np.ndarray:
+    """Squared residual ``||X_v - U M_v||^2`` of each view, from the stacked
+    data ``x`` (N x sum(J_v); 1-D ``x`` and ``u`` for a single sample) and the
+    stacked K x sum(J_v) centers ``m``, with view v's columns beginning at
+    ``starts[v]``.
 
-    The sum is taken by :func:`_sq_norm`, not BLAS ``dot``: OpenBLAS threads a
-    ``ddot`` above 10 000 elements, and the worker thread then spins for far
-    longer than the few microseconds of work (one 600 x 20 view has 12 000).
+    One residual ``x - u m`` is squared, summed over the rows, and summed
+    per view by ``np.add.reduceat``.  No reduction calls BLAS: OpenBLAS
+    threads a ``ddot`` above 10 000 elements, and the worker thread then
+    spins for far longer than the few microseconds of work.
     """
-    out = np.empty(len(views))
-    for v, (x, mv) in enumerate(zip(views, centers)):
-        out[v] = _sq_norm(x - u @ mv)
-    return out
+    r = x - u @ m
+    r *= r
+    if r.ndim == 2:
+        r = r.sum(axis=0)
+    return np.add.reduceat(r, starts)
 
 
 def objective_rkmc(
@@ -332,16 +390,15 @@ def objective_online(
     """Reconstruction error over the processed prefix, view v weighted by
     ``alpha_v ** r``, plus the regularizer ``eta * sum(U**2)``; the views are
     summed in order."""
-    uu, cents = _conforming(data_prefix, u, m)
+    uu = _conforming(data_prefix, u, m)
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (data_prefix.n_views,):
         raise DimensionError(
             f"weights of shape {alpha.shape} for {data_prefix.n_views} views"
         )
-    resid = view_residuals(data_prefix.views, uu, cents)
+    resid = view_residuals(data_prefix.stacked, uu, m.stacked, m.starts)
     total = float(sum(float(a) ** float(r) * d for a, d in zip(alpha, resid)))
-    total += float(eta) * _sq_norm(uu)
-    return total
+    return total + float(eta) * _sq_norm(uu)
 
 
 def _check_rows(entries: np.ndarray, out: list) -> None:
@@ -354,10 +411,7 @@ def _check_rows(entries: np.ndarray, out: list) -> None:
 
 
 def _check_centers(c: CenterSet, out: list) -> None:
-    k = c.centers[0].shape[0]
     for v, m in enumerate(c.centers):
-        if m.shape[0] != k:
-            out.append(("center-k", int(v)))
         for idx in np.argwhere(~np.isfinite(m)):
             out.append(("center-finite", (int(v), int(idx[0]), int(idx[1]))))
         if c.nonneg_enforced:

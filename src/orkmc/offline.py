@@ -76,7 +76,7 @@ def update_U(
     (K+1) x (K+1) KKT matrix and the rest take one stacked solve.
     """
     k = m.k
-    h, c = assignment_qp(data.views, m.centers, np.ones(data.n_views), eta)
+    h, c = assignment_qp(data.stacked, m.stacked, np.ones(m.stacked.shape[1]), eta)
     start = np.full((data.n_samples, k), 1.0 / k) if u_prev is None else u_prev
     u, _, _ = _pgd_rows(start, h, c, pg_step(h), FACE_SWEEPS)
     return _active_set(h, c, u, True)
@@ -113,7 +113,7 @@ def update_M(
         )
     ul = u[:, live]
     x = data.stacked
-    m = np.zeros((k, x.shape[1])) if prev is None else np.hstack(prev.centers)
+    m = np.zeros((k, x.shape[1])) if prev is None else prev.stacked.copy()
     if np.any(live):
         if data.nonneg:
             m[live] = nnls(ul, x, start=np.maximum(m[live], 0.0))
@@ -157,7 +157,7 @@ def rkmc_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     best, restart_used = None, -1
     for r in range(N_RESTARTS):
         idx = select_initial_rows(stacked, hyper.k, hyper.seed, f"rkmc-init-{r}")
-        m = CenterSet(tuple(x[idx] for x in data.views))
+        m = CenterSet.from_stacked(stacked[idx], data.feature_counts)
         fit = _fit_once(data, hyper, m)
         if best is None or fit["trace"][-1] < best["trace"][-1]:
             best, restart_used = fit, r

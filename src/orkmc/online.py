@@ -7,10 +7,16 @@ by a few projected-gradient steps on its simplex-constrained QP, the winning
 cluster's centers move by a counts-weighted running mean, and the view-weight
 vector alpha is refreshed from the cumulative per-view residuals.  The first
 arrival whose center move is at most ``epsilon`` freezes the centers and
-weights; later arrivals are only assigned and counted.  Each arrival
-rebuilds the row Hessian from the current centers and weights in
-O(K^2 * sum(J_v)), then its n_grad steps cost O(n_grad * K^2); the state
-holds only sufficient statistics plus the rows emitted so far.
+weights; later arrivals are only assigned and counted.  The state holds
+only sufficient statistics plus the rows emitted so far.
+
+An arrival is validated once, then concatenated into one stacked row, and
+everything after runs on it and on the centers' K x sum(J_v) block
+(``CenterSet.stacked``): the row Hessian and linear term in O(K^2 sum(J_v))
+by one :func:`~orkmc.kernels.assignment_qp`, then n_grad sweeps at
+O(K^2) each, one residual reduced per view, and one move of the winning row.
+The number of numpy calls does not grow with the number of views: outside
+the sweeps an arrival makes about 30 small calls.
 
 An :class:`OnlineState` is single-writer: steps mutate it sequentially in
 arrival order.  Distinct states may run in parallel.
@@ -34,6 +40,7 @@ from .model import (
     HyperParams,
     MultiViewDataset,
     _sq_norm,
+    _view_of_column,
     fit_result,
     view_residuals,
     with_initial_batch,
@@ -106,12 +113,14 @@ class OnlineState:
         return float(a @ self.resid_sums + self.hyper.eta * self.u_sq_sum)
 
 
-def _row_qp(state: OnlineState, xs) -> tuple:
-    """``(H, c, step)`` of the assignment QP of the samples ``xs`` (one array
-    per view) under the state's centers and view weights."""
-    a = state.weights ** state.hyper.r
-    h, c = assignment_qp(xs, state.centers.centers, a, state.hyper.eta)
-    step = state.hyper.gamma if state.hyper.gamma is not None else pg_step(h)
+def _row_qp(state: OnlineState, x: np.ndarray) -> tuple:
+    """``(H, c, step)`` of the assignment QP of the stacked samples ``x``
+    under the state's centers and view weights (``alpha_v ** r`` repeated
+    over view v's columns)."""
+    hyper = state.hyper
+    w = np.repeat(state.weights ** hyper.r, state.centers.feature_counts)
+    h, c = assignment_qp(x, state.centers.stacked, w, hyper.eta)
+    step = hyper.gamma if hyper.gamma is not None else pg_step(h)
     return h, c, step
 
 
@@ -125,16 +134,20 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     uniform at 1/V.  Up to ``max_iter`` times, every batch row gets the
     assignment update (from the uniform row, ``OnlineState.n_grad`` sweeps)
     that arrivals get, and each center moves to the mean of its
-    hard-labelled rows, until no center moved by more than ``epsilon``.
-    ``counts`` is the final label histogram.  The centers are clamped at zero
-    (``CenterSet.nonneg_enforced``) exactly when the batch is nonnegative
-    (``MultiViewDataset.nonneg`` of the batch, not of all of ``data``).
+    hard-labelled rows, until no center moved by more than ``epsilon`` in any
+    view.  The means are taken on the batch's stacked rows and written into
+    the centers' block in place.  ``counts`` is the final label histogram.
+    The centers are clamped at zero (``CenterSet.nonneg_enforced``) exactly
+    when the batch is nonnegative (``MultiViewDataset.nonneg`` of the batch,
+    not of all of ``data``).
     """
     hyper = with_initial_batch(hyper, data.n_samples)
     k, t0 = hyper.k, hyper.chushi
-    batch = MultiViewDataset(views=tuple(x[:t0] for x in data.views))
-    idx = select_initial_rows(batch.stacked, k, hyper.seed, "orkmc-init")
-    centers = CenterSet(tuple(x[idx] for x in batch.views), nonneg_enforced=batch.nonneg)
+    batch = data.take_rows(np.arange(t0))
+    x = batch.stacked
+    idx = select_initial_rows(x, k, hyper.seed, "orkmc-init")
+    centers = CenterSet.from_stacked(x[idx], batch.feature_counts, batch.nonneg)
+    m = centers.stacked
     state = OnlineState(
         hyper=hyper,
         U_rows=[],
@@ -149,19 +162,18 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     # recurrence of orkmc_step exact.  HyperParams keeps max_iter >= 1, so
     # the loop sets u and hard.
     for _ in range(hyper.max_iter):
-        h, c, step = _row_qp(state, batch.views)
+        h, c, step = _row_qp(state, x)
         u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, state.n_grad)
         hard = np.argmax(u, axis=1)
-        drift = 0.0
-        for x, mv in zip(batch.views, centers.centers):
-            means = cluster_means(x, hard, k, mv)
-            drift = max(drift, *(float(np.linalg.norm(d)) for d in means - mv))
-            mv[:] = means
+        means = cluster_means(x, hard, k, m)
+        d = means - m
+        drift = math.sqrt(float(np.add.reduceat(d * d, centers.starts, axis=1).max()))
+        m[:] = means
         if drift <= hyper.epsilon:
             break
 
     state.counts = np.bincount(hard, minlength=k).astype(np.int64)
-    state.resid_sums = view_residuals(batch.views, u, centers.centers)
+    state.resid_sums = view_residuals(x, u, m, centers.starts)
     state.u_sq_sum = _sq_norm(u)
     state.U_rows = [u[i] for i in range(t0)]
     return state
@@ -170,15 +182,24 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
 def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState:
     """Process one arrival (one sample per view); mutates and returns ``state``.
 
-    A non-finite arrival is rejected with :class:`ValidationError` before any
-    mutation.  The arrival's row gets ``n_grad`` projected-gradient sweeps from
-    the uniform row; its hard label k* is counted and, unless the state is
-    frozen, row k* of every view's centers moves toward the sample by the
-    running-mean step and the view weights are refreshed.  Only row k* moves,
-    so the step's drift is the largest norm of that row's move over the views;
-    a drift of at most ``epsilon`` freezes the state (``frozen_at = t``), and
+    The views of the arrival are concatenated into one stacked row, and all
+    the work below runs on it and on the centers' stacked block: one build of
+    the row QP, one residual (summed per view by ``np.add.reduceat``) and one
+    row move, for any number of views.  The arrival is checked once, for its
+    view and feature counts and then for finiteness; a bad arrival is
+    rejected with :class:`ValidationError`, naming the offending view, before
+    any mutation.
+
+    The arrival's row gets ``n_grad`` projected-gradient sweeps from the
+    uniform row; its hard label k* is counted and, unless the state is
+    frozen, row k* of the centers moves toward the sample by the running-mean
+    step and the view weights are refreshed.  Only row k* moves, so the
+    step's drift is the largest norm of that row's move over the views; a
+    drift of at most ``epsilon`` freezes the state (``frozen_at = t``), and
     every later arrival is assigned and counted against fixed centers and
-    weights.
+    weights.  At K = 5 and two views of 10 features the ten sweeps take
+    about half of an arrival's time; the QP build, ``pg_step``, the
+    validation and the residual most of the rest.
 
     When the warm-start batch was nonnegative the moved row is clamped at
     zero: its move is raised to at least ``-old``.  On nonnegative arrivals
@@ -186,39 +207,41 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     ``old + (x - old) / c >= 0``); it keeps an arrival with a negative entry
     from pulling a center below zero.  The drift is the norm of the move.
     """
-    xs = [np.asarray(x, dtype=np.float64).ravel() for x in arrival]
-    if len(xs) != state.centers.n_views:
+    centers = state.centers
+    if len(arrival) != centers.n_views:
+        raise ValidationError(f"arrival has {len(arrival)} views, state has {centers.n_views}")
+    sizes = tuple(map(np.size, arrival))
+    if sizes != centers.feature_counts:
+        v = next(v for v, (j, jc) in enumerate(zip(sizes, centers.feature_counts)) if j != jc)
         raise ValidationError(
-            f"arrival has {len(xs)} views, state has {state.centers.n_views}"
+            f"arrival view {v} has {sizes[v]} features, expected {centers.feature_counts[v]}"
         )
-    for v, (x, mv) in enumerate(zip(xs, state.centers.centers)):
-        if x.shape[0] != mv.shape[1]:
-            raise ValidationError(
-                f"arrival view {v} has {x.shape[0]} features, expected {mv.shape[1]}"
-            )
-        if not np.isfinite(x).all():
-            raise ValidationError(f"arrival view {v} has non-finite entries")
+    x = np.concatenate(arrival, axis=None, dtype=np.float64)
+    finite = np.isfinite(x)
+    if not finite.all():
+        v = _view_of_column(centers.starts, np.argmin(finite))
+        raise ValidationError(f"arrival view {v} has non-finite entries")
 
     hyper = state.hyper
     k = hyper.k
-    h, c, step = _row_qp(state, xs)
+    m = centers.stacked
+    h, c, step = _row_qp(state, x)
     u, _, _ = _pgd_rows(np.full(k, 1.0 / k), h, c, step, state.n_grad)
 
     k_star = int(np.argmax(u))
     state.counts[k_star] += 1
-    state.resid_sums += view_residuals(xs, u, state.centers.centers)
+    state.resid_sums += view_residuals(x, u, m, centers.starts)
     state.u_sq_sum += float(u @ u)
     state.U_rows.append(u)
     if state.frozen_at is None:
-        drift = 0.0
-        for x, mv in zip(xs, state.centers.centers):
-            row = mv[k_star]
-            move = (x - row) / state.counts[k_star]
-            if state.centers.nonneg_enforced:
-                # row + max(move, -row) is exactly max(row + move, 0).
-                np.maximum(move, -row, out=move)
-            row += move
-            drift = max(drift, math.sqrt(float(move @ move)))
+        row = m[k_star]
+        move = (x - row) / state.counts[k_star]
+        if centers.nonneg_enforced:
+            # row + max(move, -row) is exactly max(row + move, 0).
+            np.maximum(move, -row, out=move)
+        row += move
+        move *= move
+        drift = math.sqrt(float(np.add.reduceat(move, centers.starts).max()))
         state.weights = weights_from_residuals(state.resid_sums, hyper.r)
         if drift <= hyper.epsilon:
             state.frozen_at = state.t

@@ -46,6 +46,47 @@ def objective_online_bruteforce(views, u, center_mats, alpha, r, eta):
     return total
 
 
+def assignment_qp_per_view(views, center_mats, w, eta):
+    """``H = 2 (sum_v w_v M_v M_v' + eta I)`` and the rows ``c_i = 2 sum_v w_v
+    M_v x_{v,i}`` of the assignment QP, one view at a time, every entry summed
+    exactly by ``math.fsum``; ``views`` holds 2-D per-view sample matrices."""
+    k = len(center_mats[0])
+    n = len(views[0])
+    h = [[2.0 * eta if a == b else 0.0 for b in range(k)] for a in range(k)]
+    for a in range(k):
+        for b in range(k):
+            h[a][b] = math.fsum(
+                [h[a][b]]
+                + [2.0 * wv * m[a][j] * m[b][j] for wv, m in zip(w, center_mats) for j in range(len(m[a]))]
+            )
+    c = [
+        [
+            math.fsum(
+                2.0 * wv * m[a][j] * x[i][j]
+                for wv, x, m in zip(w, views, center_mats)
+                for j in range(len(m[a]))
+            )
+            for a in range(k)
+        ]
+        for i in range(n)
+    ]
+    return np.array(h), np.array(c)
+
+
+def view_residuals_per_view(views, u, center_mats):
+    """``||X_v - U M_v||^2`` of each view, one view at a time, every residual
+    entry and every view's sum of squares summed exactly by ``math.fsum``."""
+    out = []
+    for x, m in zip(views, center_mats):
+        sq = []
+        for i in range(len(x)):
+            for j in range(len(m[0])):
+                r = math.fsum([x[i][j]] + [-u[i][kk] * m[kk][j] for kk in range(len(m))])
+                sq.append(r * r)
+        out.append(math.fsum(sq))
+    return np.array(out)
+
+
 # ---------------------------------------------------------------------------
 # simplex projection / row QP / NNLS by support enumeration
 

@@ -366,7 +366,7 @@ def test_c12_baseline_properties():
             u = np.abs(srng.normal(size=(n, k))) + 1e-9
             m = np.abs(srng.normal(size=(k, j))) + 1e-9
             for _ in range(8):
-                u = mu_update_rows(u, *assignment_qp([x], [m], np.ones(1), 0.0))
+                u = mu_update_rows(u, *assignment_qp(x, m, np.ones(m.shape[1]), 0.0))
                 m = mu_update_centers(m, u.T @ x, u.T @ u)
                 assert np.all(u >= 0.0) and np.all(m >= 0.0)
         crit.detail = "kmeans SSE, power-mean MM, s=-100 vs Lloyd, OMU nonnegativity"

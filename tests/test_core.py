@@ -65,6 +65,31 @@ class TestMultiViewDataset:
         assert data.nonneg
 
 
+class TestCenterSet:
+    def test_per_view_matrices_are_copied_into_one_block(self):
+        m1, m2 = np.arange(6.0).reshape(2, 3), np.array([[7.0], [8.0]])
+        c = CenterSet((m1, m2))
+        np.testing.assert_array_equal(c.stacked, np.hstack((m1, m2)))
+        assert (c.k, c.n_views, c.feature_counts, c.starts) == (2, 2, (3, 1), (0, 3))
+        assert not np.shares_memory(c.stacked, m1)
+        c.centers[1][0, 0] = -1.0
+        assert c.stacked[0, 3] == -1.0 and m2[0, 0] == 7.0
+
+    def test_from_stacked_adopts_the_block(self):
+        block = np.arange(8.0).reshape(2, 4)
+        c = CenterSet.from_stacked(block, (1, 3), nonneg_enforced=True)
+        assert c.stacked is block and c.nonneg_enforced
+        np.testing.assert_array_equal(c.centers[1], block[:, 1:])
+        with pytest.raises(DimensionError):
+            CenterSet.from_stacked(block, (1, 2))
+
+    def test_views_must_share_k(self):
+        with pytest.raises(DimensionError, match="center matrix 1 has 3 rows"):
+            CenterSet((np.zeros((2, 1)), np.zeros((3, 1))))
+        with pytest.raises(DimensionError):
+            CenterSet(())
+
+
 class TestClusterResult:
     def test_labels_are_argmax_with_low_tie(self):
         res = make_result([[0.5, 0.5], [0.2, 0.8]], [np.eye(2)])
@@ -216,7 +241,8 @@ class TestSquaredSums:
         centers = tuple(rng.normal(size=(k, 10)) for _ in range(2))
         resid = [x - u @ m for x, m in zip(views, centers)]
         want = [oracles.sq_sum_fsum(r) for r in resid]
-        np.testing.assert_allclose(view_residuals(views, u, centers), want, rtol=1e-13, atol=0)
+        got = view_residuals(np.hstack(views), u, np.hstack(centers), (0, 10))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
         alpha, r, eta = np.array([0.3, 0.7]), 1.7, 0.9
         got = objective_online(
@@ -232,7 +258,7 @@ class TestSquaredSums:
         u = rng.dirichlet(np.ones(4))
         m = rng.normal(size=(4, j))
         want = oracles.sq_sum_fsum(x - u @ m)
-        got = view_residuals((x,), u, (m,))
+        got = view_residuals(x, u, m, (0,))
         assert got.shape == (1,)
         assert got[0] == pytest.approx(want, rel=1e-13, abs=0)
 

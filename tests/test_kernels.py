@@ -211,7 +211,7 @@ class TestRidgeFallback:
         # on sum(u) = 0, so every KKT matrix is regular and no ridge is taken.
         m = np.array([[1.0, -0.5], [2.0, -1.0]])
         x = np.array([[1.4, -0.8], [0.3, 0.1], [2.5, -1.2]])
-        h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
+        h, c = assignment_qp(x, m, np.ones(m.shape[1]), 0.0)
         assert np.linalg.matrix_rank(h) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -224,7 +224,7 @@ class TestRidgeFallback:
         # at full support shares, is exactly singular.
         m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         x = np.array([[0.9, 0.3], [0.2, 1.5], [2.0, -1.0]])
-        h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
+        h, c = assignment_qp(x, m, np.ones(m.shape[1]), 0.0)
         with pytest.warns(RidgeFallbackWarning):
             u = _active_set(h, c, np.full((3, 3), 1.0 / 3.0), True)
         assert np.all(np.isfinite(u)) and np.all(u >= 0.0)

@@ -199,6 +199,70 @@ class TestStep:
             assert obj(u_next) <= obj(u) + 1e-9
 
 
+class TestStackedCenters:
+    """The centers live in one K x sum(J_v) block; the per-view matrices are
+    column views of it, derived on every read."""
+
+    def make(self):
+        rng = np.random.default_rng(21)
+        x, _ = separated_rows(rng, 120, 3)
+        views = (x, rng.normal(size=(120, 3)), rng.normal(size=(120, 1)))
+        return MultiViewDataset(views=views), HyperParams(k=3, chushi=40, epsilon=1e-300, seed=4)
+
+    @staticmethod
+    def assert_views_are_block_slices(centers):
+        block = centers.stacked
+        for mv, a, j in zip(centers.centers, centers.starts, centers.feature_counts):
+            assert np.shares_memory(mv, block)
+            assert mv.tobytes() == block[:, a : a + j].tobytes()
+
+    def test_deepcopy_steps_on_its_own_block(self):
+        data, hyper = self.make()
+        state = orkmc_init(data, hyper)
+        start = state.centers.stacked.copy()
+        twin = copy.deepcopy(state)
+        assert not np.shares_memory(twin.centers.stacked, state.centers.stacked)
+        for i in range(40, 120):
+            arrival = [xv[i] for xv in data.views]
+            orkmc_step(state, arrival)
+            orkmc_step(twin, arrival)
+        assert not np.array_equal(state.centers.stacked, start)
+        for side in (state, twin):
+            self.assert_views_are_block_slices(side.centers)
+        assert twin.centers.stacked.tobytes() == state.centers.stacked.tobytes()
+        for a, b in zip(state.centers.centers, twin.centers.centers):
+            assert a.tobytes() == b.tobytes()
+
+    def test_init_refresh_reaches_the_views(self):
+        # One refresh: every center with rows is the mean of the batch rows
+        # hard-labelled to it by the returned assignment.
+        data, hyper = self.make()
+        state = orkmc_init(data, replace(hyper, max_iter=1))
+        self.assert_views_are_block_slices(state.centers)
+        hard = np.argmax(np.array(state.U_rows), axis=1)
+        assert state.counts.max() >= 2
+        for kk in np.flatnonzero(state.counts):
+            for xv, mv in zip(data.views, state.centers.centers):
+                np.testing.assert_allclose(
+                    mv[kk], xv[:40][hard == kk].mean(axis=0), rtol=1e-14, atol=1e-14
+                )
+
+    def test_bad_second_view_rejected_by_name_state_unchanged(self):
+        data, hyper = self.make()
+        state = orkmc_init(data, hyper)
+        snapshot = copy.deepcopy(state)
+        x0, x2 = data.views[0][50], data.views[2][50]
+        with pytest.raises(ValidationError, match="arrival view 1 has non-finite entries"):
+            orkmc_step(state, [x0, np.array([1.0, np.inf, 0.0]), x2])
+        with pytest.raises(ValidationError, match="arrival view 1 has 2 features, expected 3"):
+            orkmc_step(state, [x0, np.array([1.0, 0.0]), x2])
+        assert state.t == snapshot.t and state.frozen_at == snapshot.frozen_at
+        assert state.centers.stacked.tobytes() == snapshot.centers.stacked.tobytes()
+        for name in ("counts", "weights", "resid_sums"):
+            assert getattr(state, name).tobytes() == getattr(snapshot, name).tobytes()
+        assert state.u_sq_sum == snapshot.u_sq_sum
+
+
 class TestWeights:
     def test_r_equal_one_takes_the_smallest_residual(self):
         np.testing.assert_array_equal(weights_from_residuals(np.array([3.0, 1.0]), 1.0), [0.0, 1.0])

@@ -26,7 +26,14 @@ import oracles
 from orkmc.baselines import kmeans_fit
 from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
 from orkmc.kernels import KKT_TOL, _active_set, assignment_qp, nnls, solve_ridge_normal
-from orkmc.model import CenterSet, HyperParams, MultiViewDataset, validate
+from orkmc.model import (
+    CenterSet,
+    HyperParams,
+    MultiViewDataset,
+    validate,
+    view_residuals,
+    view_starts,
+)
 from orkmc.offline import rkmc_fit, update_M, update_U
 from orkmc.online import orkmc_init, orkmc_run, orkmc_step
 
@@ -73,7 +80,7 @@ def centers_and_rows(draw):
 @given(centers_and_rows())
 def test_simplex_kernel_meets_kkt(case):
     m, x, eta, start = case
-    h, c = assignment_qp((x,), (m,), np.ones(1), eta)
+    h, c = assignment_qp(x, m, np.ones(m.shape[1]), eta)
     u = _active_set(h, c, start, True)
     _assert_rows_kkt(h, c, u)
     f = lambda v: np.einsum("ij,jk,ik->i", v, h, v) / 2 - np.einsum("ij,ij->i", c, v)
@@ -87,8 +94,53 @@ def test_update_u_rows_meet_kkt(case):
     m, x, eta, start = case
     data = MultiViewDataset(views=(x,))
     u = update_U(data, CenterSet((m,)), start, eta)
-    h, c = assignment_qp((x,), (m,), np.ones(1), eta)
+    h, c = assignment_qp(x, m, np.ones(m.shape[1]), eta)
     _assert_rows_kkt(h, c, u)
+
+
+@st.composite
+def stacked_problems(draw):
+    """Per-view samples and centers of 1-3 views of unequal widths, K 1-8,
+    view weights with possibly one at zero, and assignment rows; ``one_row``
+    asks for the single-sample (1-D) form."""
+    k = draw(st.integers(1, 8))
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    one_row = draw(st.booleans())
+    n = 1 if one_row else draw(st.integers(1, 6))
+    xs = [rng.normal(size=(n, j)) * 3 for j in widths]
+    ms = [rng.normal(size=(k, j)) * 3 for j in widths]
+    w = rng.uniform(0.1, 2.0, size=len(widths))
+    if draw(st.booleans()):
+        w[draw(st.integers(0, len(widths) - 1))] = 0.0
+    u = rng.dirichlet(np.ones(k), size=n)
+    return xs, ms, w, u, draw(st.sampled_from([0.0, 0.5])), one_row
+
+
+@PROPERTY
+@given(stacked_problems())
+def test_stacked_builders_match_per_view_sums(case):
+    # assignment_qp and view_residuals work on the stacked data and centers;
+    # each agrees with the per-view sums to 1e-12 of the size of its terms.
+    xs, ms, w, u, eta, one_row = case
+    widths = [xv.shape[1] for xv in xs]
+    want_h, want_c = oracles.assignment_qp_per_view(xs, ms, w, eta)
+    size_h, size_c = oracles.assignment_qp_per_view(
+        [np.abs(xv) for xv in xs], [np.abs(mv) for mv in ms], w, eta
+    )
+    want_r = oracles.view_residuals_per_view(xs, u, ms)
+    size_r = oracles.view_residuals_per_view([np.abs(xv) for xv in xs], u, [-np.abs(mv) for mv in ms])
+    x, m = np.hstack(xs), np.hstack(ms)
+    if one_row:
+        x, u, want_c, size_c = x[0], u[0], want_c[0], size_c[0]
+
+    h, c = assignment_qp(x, m, np.repeat(w, widths), eta)
+    assert h.shape == want_h.shape and c.shape == want_c.shape
+    assert np.all(np.abs(h - want_h) <= 1e-12 * size_h)
+    assert np.all(np.abs(c - want_c) <= 1e-12 * size_c)
+    r = view_residuals(x, u, m, view_starts(widths))
+    assert r.shape == (len(xs),)
+    assert np.all(np.abs(r - want_r) <= 1e-12 * size_r)
 
 
 @st.composite
@@ -107,7 +159,7 @@ def split_problems(draw):
             m[1 : dups + 1] = m[0]
         eta = 0.0 if singular else draw(st.sampled_from([1e-3, 0.5, 5.0]))
         x = rng.normal(size=(n, m.shape[1])) * 3
-        a, b = assignment_qp((x,), (m,), np.ones(1), eta)
+        a, b = assignment_qp(x, m, np.ones(m.shape[1]), eta)
         x0 = rng.dirichlet(np.ones(k), size=n)
     else:
         cols = rng.normal(size=(k + draw(st.integers(2, 8)), k))
@@ -180,7 +232,7 @@ def singular_problems(draw):
         k = draw(st.integers(2, 12))
         m = rng.normal(size=(k, draw(st.integers(1, k + 2)))) * 3
         m[1 : draw(st.integers(1, k - 1)) + 1] = m[0]
-        h, c = assignment_qp((rng.normal(size=(n, m.shape[1])) * 3,), (m,), np.ones(1), 0.0)
+        h, c = assignment_qp(rng.normal(size=(n, m.shape[1])) * 3, m, np.ones(m.shape[1]), 0.0)
         start = _start(rng, draw(st.sampled_from(["vertex", "interior", "uniform"])), n, k)
         return "simplex", h, c, lambda: _active_set(h, c, start, True)
     if kind == "gram":

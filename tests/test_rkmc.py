@@ -200,7 +200,7 @@ class TestUpdateU:
             data = MultiViewDataset(views=(x, np.abs(rng.normal(size=(30, 2)))))
             m = CenterSet(tuple(np.abs(rng.normal(size=(5, v.shape[1]))) for v in data.views))
             u = update_U(data, m, None, eta=eta)
-            h, c = assignment_qp(data.views, m.centers, np.ones(2), eta)
+            h, c = assignment_qp(data.stacked, m.stacked, np.ones(m.stacked.shape[1]), eta)
             for row, ci in zip(u, c):
                 assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-9
             new = update_M(data, u, prev=m)
@@ -230,7 +230,7 @@ class TestSingularKktFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RidgeFallbackWarning)
             u = update_U(data, CenterSet((m,)), u0, eta=0.0)
-        h, c = assignment_qp((x,), (m,), np.ones(1), 0.0)
+        h, c = assignment_qp(x, m, np.ones(m.shape[1]), 0.0)
         for row, ci in zip(u, c):
             assert max(oracles.simplex_qp_kkt(h, ci, row)) <= 1e-9
 
