@@ -364,7 +364,7 @@ def view_residuals(x: np.ndarray, u: np.ndarray, m: np.ndarray, starts) -> np.nd
     threads a ``ddot`` above 10 000 elements, and the worker thread then
     spins for far longer than the few microseconds of work.
     """
-    r = x - u @ m
+    r = x - u.dot(m)
     r *= r
     if r.ndim == 2:
         r = r.sum(axis=0)

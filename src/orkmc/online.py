@@ -110,7 +110,7 @@ class OnlineState:
         of how many samples have streamed past.
         """
         a = self.weights ** self.hyper.r
-        return float(a @ self.resid_sums + self.hyper.eta * self.u_sq_sum)
+        return float(a.dot(self.resid_sums) + self.hyper.eta * self.u_sq_sum)
 
 
 def _row_qp(state: OnlineState, x: np.ndarray) -> tuple:
@@ -118,7 +118,7 @@ def _row_qp(state: OnlineState, x: np.ndarray) -> tuple:
     under the state's centers and view weights (``alpha_v ** r`` repeated
     over view v's columns)."""
     hyper = state.hyper
-    w = np.repeat(state.weights ** hyper.r, state.centers.feature_counts)
+    w = (state.weights ** hyper.r).repeat(state.centers.feature_counts)
     h, c = assignment_qp(x, state.centers.stacked, w, hyper.eta)
     step = hyper.gamma if hyper.gamma is not None else pg_step(h)
     return h, c, step
@@ -228,10 +228,10 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     h, c, step = _row_qp(state, x)
     u, _, _ = _pgd_rows(np.full(k, 1.0 / k), h, c, step, state.n_grad)
 
-    k_star = int(np.argmax(u))
+    k_star = int(u.argmax())
     state.counts[k_star] += 1
     state.resid_sums += view_residuals(x, u, m, centers.starts)
-    state.u_sq_sum += float(u @ u)
+    state.u_sq_sum += float(u.dot(u))
     state.U_rows.append(u)
     if state.frozen_at is None:
         row = m[k_star]
