@@ -54,7 +54,8 @@ parallel and results do not depend on the schedule.
 
 Products that ORKMC takes once or more per arrival are written
 ``a.dot(b)``: on K-element operands that costs about half the call
-overhead of ``a @ b`` (0.55 against 1.1 us at K = 5), with the same bits.
+overhead of ``a @ b`` (0.55 against 1.1 us at K = 5 on a 2-core x86-64 VM
+with numpy 2.4), with the same bits.
 """
 
 from __future__ import annotations
