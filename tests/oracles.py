@@ -57,7 +57,11 @@ def assignment_qp_per_view(views, center_mats, w, eta):
         for b in range(k):
             h[a][b] = math.fsum(
                 [h[a][b]]
-                + [2.0 * wv * m[a][j] * m[b][j] for wv, m in zip(w, center_mats) for j in range(len(m[a]))]
+                + [
+                    2.0 * wv * m[a][j] * m[b][j]
+                    for wv, m in zip(w, center_mats)
+                    for j in range(len(m[a]))
+                ]
             )
     c = [
         [
