@@ -122,10 +122,9 @@ def cmd_stream(args) -> int:
     print(f"t,objective,{alpha_header}")
 
     def emit(t: int, objective: float, alpha: np.ndarray) -> None:
-        due = t == chushi or (t - chushi) % args.emit_every == 0 or t == n
-        if due:
-            cols = ",".join(repr(float(a)) for a in alpha)
-            print(f"{t},{objective!r},{cols}")
+        # One write per row; stdout is line-buffered on a terminal, so rows stay live.
+        if t == chushi or (t - chushi) % args.emit_every == 0 or t == n:
+            sys.stdout.write(f"{t},{objective!r},{','.join(map(repr, alpha.tolist()))}\n")
 
     result = orkmc_run(data, hyper, progress=emit)
     dataio.save_result(result, args.out)

@@ -156,11 +156,13 @@ def _pgd_rows(u0: np.ndarray, h: np.ndarray, c: np.ndarray, step: float, sweeps:
     row); each row descends ``1/2 u' H u - c_i' u`` over the simplex.
 
     A sweep ``u <- P(u - step (u H - c))`` is computed in its affine form
-    ``u <- P(u A + b)`` with ``A = I - step H`` and ``b = step c`` built once
-    per call, so it costs one O(N K^2) matrix product and one projection.
+    ``u <- P(u A + b)``, with ``b = step c`` and ``A = I - step H`` (as
+    ``-step H`` plus 1 on the diagonal) built once per call, so it costs one
+    O(N K^2) matrix product and one projection.
     Returns ``(u, False, sweeps)``; the last item is the sweep count.
     """
-    a = np.eye(h.shape[0]) - step * h
+    a = h * -step
+    a.flat[:: h.shape[0] + 1] += 1.0
     b = step * c
     u = u0
     for _ in range(sweeps):

@@ -10,13 +10,13 @@ arrival whose center move is at most ``epsilon`` freezes the centers and
 weights; later arrivals are only assigned and counted.  The state holds
 only sufficient statistics plus the rows emitted so far.
 
-An arrival is validated once, then concatenated into one stacked row, and
-everything after runs on it and on the centers' K x sum(J_v) block
-(``CenterSet.stacked``): the row Hessian and linear term in O(K^2 sum(J_v))
-by one :func:`~orkmc.kernels.assignment_qp`, then n_grad sweeps at
-O(K^2) each, one residual reduced per view, and one move of the winning row.
-The number of numpy calls does not grow with the number of views: outside
-the sweeps an arrival makes about 30 small calls.
+An arrival is one stacked row, its sum(J_v) values in view order as in
+``MultiViewDataset.stacked``.  It is validated once; everything after runs
+on it and on the centers' K x sum(J_v) block (``CenterSet.stacked``): the
+row QP in O(K^2 sum(J_v)) by one :func:`~orkmc.kernels.assignment_qp`,
+n_grad sweeps at O(K^2) each, one residual reduced per view and one move of
+the winning row.  Outside the sweeps an arrival makes about 35 small numpy
+calls (25 once the centers are frozen), for any number of views.
 
 An :class:`OnlineState` is single-writer: steps mutate it sequentially in
 arrival order.  Distinct states may run in parallel.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -179,16 +179,16 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
     return state
 
 
-def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState:
-    """Process one arrival (one sample per view); mutates and returns ``state``.
+def orkmc_step(state: OnlineState, x: np.ndarray) -> OnlineState:
+    """Process one arrival, the stacked row ``x``; mutates and returns ``state``.
 
-    The views of the arrival are concatenated into one stacked row, and all
-    the work below runs on it and on the centers' stacked block: one build of
-    the row QP, one residual (summed per view by ``np.add.reduceat``) and one
-    row move, for any number of views.  The arrival is checked once, for its
-    view and feature counts and then for finiteness; a bad arrival is
-    rejected with :class:`ValidationError`, naming the offending view, before
-    any mutation.
+    ``x`` holds the sample's sum(J_v) values in view order, as
+    ``MultiViewDataset.stacked[i]`` does, and is checked once, before any
+    mutation: anything but a 1-D row of that length (a 2-D row, a list of
+    per-view arrays) raises :class:`ValidationError` giving the length and
+    the view widths, and a non-finite entry one that names its view.  One
+    build of the row QP, one residual (summed per view by
+    ``np.add.reduceat``) and one row move on the stacked centers follow.
 
     The arrival's row gets ``n_grad`` projected-gradient sweeps from the
     uniform row; its hard label k* is counted and, unless the state is
@@ -197,9 +197,9 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     step's drift is the largest norm of that row's move over the views; a
     drift of at most ``epsilon`` freezes the state (``frozen_at = t``), and
     every later arrival is assigned and counted against fixed centers and
-    weights.  At K = 5 and two views of 10 features the ten sweeps take
-    about half of an arrival's time; the QP build, ``pg_step``, the
-    validation and the residual most of the rest.
+    weights.  At K = 5 and two views of 10 (77 us an arrival, 2-core x86,
+    one BLAS thread) the ten sweeps take about half of it, ``pg_step`` and
+    the QP build 8 % each, the weights, residual and row check 2-4 % each.
 
     When the warm-start batch was nonnegative the moved row is clamped at
     zero: its move is raised to at least ``-old``.  On nonnegative arrivals
@@ -208,25 +208,22 @@ def orkmc_step(state: OnlineState, arrival: Sequence[np.ndarray]) -> OnlineState
     from pulling a center below zero.  The drift is the norm of the move.
     """
     centers = state.centers
-    if len(arrival) != centers.n_views:
-        raise ValidationError(f"arrival has {len(arrival)} views, state has {centers.n_views}")
-    sizes = tuple(map(np.size, arrival))
-    if sizes != centers.feature_counts:
-        v = next(v for v, (j, jc) in enumerate(zip(sizes, centers.feature_counts)) if j != jc)
-        raise ValidationError(
-            f"arrival view {v} has {sizes[v]} features, expected {centers.feature_counts[v]}"
-        )
-    x = np.concatenate(arrival, axis=None, dtype=np.float64)
+    m = centers.stacked
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except ValueError:  # ragged, as per-view arrays of unequal widths
+        x = np.empty(0)
+    if x.shape != m.shape[1:]:
+        raise ValidationError(f"arrival must be one 1-D row of {m.shape[1]} values, the "
+                              f"views' {centers.feature_counts} features in view order")
     finite = np.isfinite(x)
     if not finite.all():
         v = _view_of_column(centers.starts, np.argmin(finite))
         raise ValidationError(f"arrival view {v} has non-finite entries")
 
     hyper = state.hyper
-    k = hyper.k
-    m = centers.stacked
     h, c, step = _row_qp(state, x)
-    u, _, _ = _pgd_rows(np.full(k, 1.0 / k), h, c, step, state.n_grad)
+    u, _, _ = _pgd_rows(np.full(hyper.k, 1.0 / hyper.k), h, c, step, state.n_grad)
 
     k_star = int(u.argmax())
     state.counts[k_star] += 1
@@ -256,10 +253,11 @@ def orkmc_run(
     """Stream the dataset through the online solver in arrival order.
 
     Rows ``1..chushi`` form the warm-start batch (:func:`orkmc_init`, which
-    resolves ``chushi``); every later row is one :func:`orkmc_step`, which
-    also decides the freeze.  ``progress`` is called as
-    ``progress(t, objective, alpha)`` after the warm start and after every
-    arrival.
+    resolves ``chushi``); every later row ``data.stacked[row]`` is one
+    :func:`orkmc_step`, which also decides the freeze, and whose check of the
+    row always passes (the dataset rejected non-finite data when built).
+    ``progress`` is called as ``progress(t, objective, alpha)`` after the
+    warm start and after every arrival.
     """
     t_start = time.perf_counter()
     state = orkmc_init(data, hyper)
@@ -267,7 +265,7 @@ def orkmc_run(
     if progress is not None:
         progress(state.t, trace[-1], state.weights.copy())
     for row in range(state.t, data.n_samples):
-        orkmc_step(state, [x[row] for x in data.views])
+        orkmc_step(state, data.stacked[row])
         trace.append(state.surrogate_objective())
         if progress is not None:
             progress(state.t, trace[-1], state.weights.copy())

@@ -19,7 +19,12 @@ comes too close.
 
 Regenerate (only when an output is meant to change) with::
 
-    PYTHONPATH=src python tests/goldens.py
+    PYTHONPATH=src python tests/goldens.py [OUT [CASE ...]]
+
+OUT defaults to the committed file.  Named cases are refitted into the
+existing OUT and every other entry is kept byte for byte, in its place, so
+a change that moves a few goldens diffs only those; with no case named,
+every case is refitted and OUT is written anew.
 """
 
 from __future__ import annotations
@@ -154,7 +159,7 @@ def _freeze_margin(data, hyper) -> float:
         if state.frozen_at is not None:
             break
         before = [m.copy() for m in state.centers.centers]
-        orkmc_step(state, [x[row] for x in data.views])
+        orkmc_step(state, data.stacked[row])
         drift = max(float(np.linalg.norm(a - b, axis=1).max()) for a, b in zip(state.centers.centers, before))
         margin = min(margin, abs(drift - hyper.epsilon) / hyper.epsilon)
     return margin
@@ -169,9 +174,20 @@ def tie_margins(name: str, data, result) -> dict:
     return margins
 
 
-def regenerate(path: str = GOLDEN_PATH) -> dict:
+def regenerate(path: str = GOLDEN_PATH, names=()) -> dict:
+    """Refit the cases ``names`` (every case when empty) and write them to
+    ``path``.  Named cases replace their entries in the file at ``path``;
+    the other entries are loaded and dumped again, which keeps their bytes
+    because a JSON float round-trips."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown cases {unknown}; the cases are {list(CASES)}")
     doc = {}
-    for name, (make, fit) in CASES.items():
+    if names:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    for name in names or CASES:
+        make, fit = CASES[name]
         data = make()
         result = fit(data)
         problems = validate(result)
@@ -191,4 +207,4 @@ def regenerate(path: str = GOLDEN_PATH) -> dict:
 
 
 if __name__ == "__main__":
-    regenerate(sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH)
+    regenerate(sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH, sys.argv[2:])

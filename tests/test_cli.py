@@ -199,6 +199,26 @@ class TestStream:
             obj = float(line.split(",")[1])
             assert np.isfinite(obj) and obj >= 0
 
+    def test_every_progress_row_is_exact(self, capsys, tmp_path):
+        # A float's repr round-trips, so each row must parse back to the
+        # trace entry and weights the result file stores, bit for bit.
+        data = generate(SimSpec(n=90, k=3, v=2, j=2, seed=4))
+        manifest = save_dataset(data, tmp_path / "ds")
+        out_path = tmp_path / "r.json"
+        code, out, _ = run_cli(
+            capsys, "stream", "--algo", "orkmc", "--data", manifest, "--k", "3",
+            "--chushi", "30", "--emit-every", "1", "--seed", "2", "--out", str(out_path),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "t,objective,alpha_1,alpha_2"
+        rows = [l.split(",") for l in lines[1:-1]]
+        assert lines[-1].startswith("orkmc")
+        doc = json.loads(out_path.read_text())
+        assert [int(r[0]) for r in rows] == list(range(30, 91))
+        assert [float(r[1]) for r in rows] == doc["objective_trace"]
+        assert [float(a) for a in rows[-1][2:]] == doc["weight"]
+
     @pytest.mark.parametrize("every", ["0", "-3"])
     def test_emit_every_below_one_is_usage_error(self, capsys, tmp_path, every):
         # The manifest does not exist: a check made after loading would exit 1.

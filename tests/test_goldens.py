@@ -10,6 +10,7 @@ array's largest entry; ``frozen_at`` and the hard labels must match exactly.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -49,3 +50,16 @@ def test_fit_replays_golden(name):
         assert got["nmi"] is None
     else:
         _close([got["nmi"]], [want["nmi"]], f"{name} nmi")
+
+
+def test_regenerating_one_case_keeps_every_other_entry(tmp_path):
+    path = tmp_path / "goldens.json"
+    shutil.copyfile(goldens.GOLDEN_PATH, path)
+    before = path.read_text(encoding="utf-8")
+    goldens.regenerate(str(path), ["orkmc"])
+    after = path.read_text(encoding="utf-8")
+    new = json.loads(after)
+    assert list(new) == list(GOLDEN)
+    # The file as it was, with only the "orkmc" entry swapped, byte for byte.
+    assert json.dumps(GOLDEN, separators=(",", ":")) + "\n" == before
+    assert json.dumps({**GOLDEN, "orkmc": new["orkmc"]}, separators=(",", ":")) + "\n" == after

@@ -88,7 +88,7 @@ class TestStep:
         state.hyper = replace(state.hyper, max_iter=200)
         assert state.n_grad == 200
         k_probe = 1
-        arrival = [state.centers.centers[0][k_probe].copy()]
+        arrival = state.centers.stacked[k_probe].copy()
         before_counts = state.counts.copy()
         before_center = state.centers.centers[0].copy()
         orkmc_step(state, arrival)
@@ -104,7 +104,7 @@ class TestStep:
         x = np.abs(np.random.default_rng(0).normal(size=(10, 2)))
         state = orkmc_init(MultiViewDataset(views=(x,)), HyperParams(k=2, chushi=10, epsilon=1e-12))
         assert state.centers.nonneg_enforced
-        orkmc_step(state, [np.array([-50.0, -50.0])])
+        orkmc_step(state, np.array([-50.0, -50.0]))
         assert np.all(state.centers.centers[0] >= 0.0)
         assert validate(state) == []
 
@@ -115,7 +115,7 @@ class TestStep:
         state = orkmc_init(data, HyperParams(k=3, chushi=15, r=2.0, seed=5))
         for _ in range(5):
             row = rng.normal(size=2) + [4.0, 0.0]
-            orkmc_step(state, [row, row.copy()])
+            orkmc_step(state, np.concatenate([row, row]))
         np.testing.assert_allclose(state.weights, [0.5, 0.5], atol=1e-12)
 
     def test_running_mean_recurrence(self):
@@ -123,8 +123,8 @@ class TestStep:
         # the running mean 2.0 (hand-computed M <- M + (x - M)/n recurrence)
         data = MultiViewDataset(views=(np.array([[1.0]]),))
         state = orkmc_init(data, HyperParams(k=1, chushi=1, eta=0.0))
-        orkmc_step(state, [np.array([2.0])])
-        orkmc_step(state, [np.array([3.0])])
+        orkmc_step(state, np.array([2.0]))
+        orkmc_step(state, np.array([3.0]))
         assert state.centers.centers[0][0, 0] == pytest.approx(2.0, abs=1e-12)
         assert state.counts.tolist() == [3]
 
@@ -151,7 +151,7 @@ class TestStep:
         state = self.make_state(rng)
         snapshot = copy.deepcopy(state)
         with pytest.raises(ValidationError):
-            orkmc_step(state, [np.array([np.nan, 1.0])])
+            orkmc_step(state, np.array([np.nan, 1.0]))
         assert state.t == snapshot.t
         np.testing.assert_array_equal(state.counts, snapshot.counts)
         np.testing.assert_array_equal(
@@ -162,7 +162,7 @@ class TestStep:
         rng = np.random.default_rng(7)
         state = self.make_state(rng, views=2)
         for _ in range(30):
-            arrival = [rng.normal(size=2) * 3, rng.normal(size=2) * 3]
+            arrival = np.concatenate([rng.normal(size=2) * 3, rng.normal(size=2) * 3])
             orkmc_step(state, arrival)
             row = state.U_rows[-1]
             assert abs(float(row.sum()) - 1.0) <= 1e-9
@@ -223,7 +223,7 @@ class TestStackedCenters:
         twin = copy.deepcopy(state)
         assert not np.shares_memory(twin.centers.stacked, state.centers.stacked)
         for i in range(40, 120):
-            arrival = [xv[i] for xv in data.views]
+            arrival = data.stacked[i]
             orkmc_step(state, arrival)
             orkmc_step(twin, arrival)
         assert not np.array_equal(state.centers.stacked, start)
@@ -251,11 +251,17 @@ class TestStackedCenters:
         data, hyper = self.make()
         state = orkmc_init(data, hyper)
         snapshot = copy.deepcopy(state)
-        x0, x2 = data.views[0][50], data.views[2][50]
+        row = data.stacked[50]
+        bad = row.copy()
+        bad[3] = np.inf  # the second of view 1's columns 2..4
         with pytest.raises(ValidationError, match="arrival view 1 has non-finite entries"):
-            orkmc_step(state, [x0, np.array([1.0, np.inf, 0.0]), x2])
-        with pytest.raises(ValidationError, match="arrival view 1 has 2 features, expected 3"):
-            orkmc_step(state, [x0, np.array([1.0, 0.0]), x2])
+            orkmc_step(state, bad)
+        # Anything but one 1-D row of the 6 stacked values is refused by its
+        # expected length and the view widths.
+        wrong_shapes = (row[:-1], row[None, :], [xv[50] for xv in data.views])
+        for arrival in wrong_shapes:
+            with pytest.raises(ValidationError, match=r"one 1-D row of 6 values, the views' \(2, 3, 1\)"):
+                orkmc_step(state, arrival)
         assert state.t == snapshot.t and state.frozen_at == snapshot.frozen_at
         assert state.centers.stacked.tobytes() == snapshot.centers.stacked.tobytes()
         for name in ("counts", "weights", "resid_sums"):
@@ -365,7 +371,7 @@ class TestRun:
 
         monkeypatch.setattr(online, "_pgd_rows", counted)
         for i in range(50, 200):
-            orkmc_step(state, [x[i]])
+            orkmc_step(state, x[i])
         # constant work per arrival: every step runs exactly n_grad sweeps
         assert sweeps == [state.n_grad] * 150
 
@@ -385,7 +391,7 @@ class TestRun:
         for i in range(40, 300):
             before = [mv.copy() for mv in state.centers.centers]
             counts = state.counts.copy()
-            orkmc_step(state, [xv[i] for xv in data.views])
+            orkmc_step(state, data.stacked[i])
             k_star = int(np.argmax(state.U_rows[-1]))
             drift = max(
                 float(np.linalg.norm(mv[k_star] - b[k_star]))
@@ -413,7 +419,7 @@ class TestRun:
         data = MultiViewDataset(views=(x,))
         state = orkmc_init(data, HyperParams(k=3, chushi=40))
         for i in range(40, 120):
-            orkmc_step(state, [x[i]])
+            orkmc_step(state, x[i])
         k, j, v, t = 3, 2, 1, state.t
         stored = (
             sum(m.size for m in state.centers.centers)

@@ -486,8 +486,8 @@ def test_orkmc_centers_stay_nonneg_without_clamping(case):
     free = copy.deepcopy(state)
     free.centers = CenterSet(free.centers.centers, nonneg_enforced=False)
     for row in range(hyper.chushi, data.n_samples):
-        orkmc_step(state, [x[row] for x in data.views])
-        orkmc_step(free, [x[row] for x in data.views])
+        orkmc_step(state, data.stacked[row])
+        orkmc_step(free, data.stacked[row])
     for a, b in zip(state.centers.centers, free.centers.centers):
         np.testing.assert_array_equal(a, b)
     assert validate(state) == []
