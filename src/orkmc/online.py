@@ -214,8 +214,9 @@ def orkmc_step(state: OnlineState, x: np.ndarray) -> OnlineState:
     except ValueError:  # ragged, as per-view arrays of unequal widths
         x = np.empty(0)
     if x.shape != m.shape[1:]:
-        raise ValidationError(f"arrival must be one 1-D row of {m.shape[1]} values, the "
-                              f"views' {centers.feature_counts} features in view order")
+        raise ValidationError(
+            f"arrival must be 1-D with {m.shape[1]} values, view widths {centers.feature_counts}"
+        )
     finite = np.isfinite(x)
     if not finite.all():
         v = _view_of_column(centers.starts, np.argmin(finite))
@@ -254,10 +255,9 @@ def orkmc_run(
 
     Rows ``1..chushi`` form the warm-start batch (:func:`orkmc_init`, which
     resolves ``chushi``); every later row ``data.stacked[row]`` is one
-    :func:`orkmc_step`, which also decides the freeze, and whose check of the
-    row always passes (the dataset rejected non-finite data when built).
-    ``progress`` is called as ``progress(t, objective, alpha)`` after the
-    warm start and after every arrival.
+    :func:`orkmc_step` (whose row check passes: the dataset is finite), which
+    also decides the freeze.  ``progress(t, objective, alpha)`` is called
+    after the warm start and after every arrival.
     """
     t_start = time.perf_counter()
     state = orkmc_init(data, hyper)

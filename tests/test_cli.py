@@ -211,9 +211,8 @@ class TestStream:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "t,objective,alpha_1,alpha_2"
+        assert lines[0] == "t,objective,alpha_1,alpha_2" and lines[-1].startswith("orkmc")
         rows = [l.split(",") for l in lines[1:-1]]
-        assert lines[-1].startswith("orkmc")
         doc = json.loads(out_path.read_text())
         assert [int(r[0]) for r in rows] == list(range(30, 91))
         assert [float(r[1]) for r in rows] == doc["objective_trace"]

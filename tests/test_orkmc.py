@@ -260,7 +260,7 @@ class TestStackedCenters:
         # expected length and the view widths.
         wrong_shapes = (row[:-1], row[None, :], [xv[50] for xv in data.views])
         for arrival in wrong_shapes:
-            with pytest.raises(ValidationError, match=r"one 1-D row of 6 values, the views' \(2, 3, 1\)"):
+            with pytest.raises(ValidationError, match=r"must be 1-D with 6 values, view widths \(2, 3, 1\)"):
                 orkmc_step(state, arrival)
         assert state.t == snapshot.t and state.frozen_at == snapshot.frozen_at
         assert state.centers.stacked.tobytes() == snapshot.centers.stacked.tobytes()
