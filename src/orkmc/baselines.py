@@ -31,6 +31,7 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
+    center_drift,
     fit_result,
     view_residuals,
     view_starts,
@@ -53,7 +54,8 @@ def kmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     """Lloyd K-means on the stacked views; hard one-hot assignments.
 
     Reads ``hyper.k``, ``seed``, ``epsilon`` and ``max_iter``.  Stops on a
-    label fixpoint, a center change of at most ``epsilon``, or ``max_iter``
+    label fixpoint, once no center moved by more than ``epsilon`` within one
+    view (:func:`~orkmc.model.center_drift`), or after ``max_iter``
     iterations.  Empty clusters are re-seeded at the point farthest from its
     assigned center, which only lowers the within-cluster SSE.
     """
@@ -78,7 +80,7 @@ def kmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
         labels = new_labels
         new_centers = cluster_means(x, labels, k, centers)
         trace.append(float(np.sum((x - new_centers[labels]) ** 2)))
-        delta = float(np.linalg.norm(new_centers - centers))
+        delta = center_drift(new_centers - centers, view_starts(data.feature_counts))
         centers = new_centers
         if fixpoint or delta <= hyper.epsilon:
             break
@@ -146,8 +148,8 @@ def pkmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     nearest-center.
 
     Reads ``hyper.k``, ``seed`` and ``max_iter``.  Stops once ``s`` is at the
-    floor and the centers moved by at most a fixed 1e-8 (not ``epsilon``), or
-    after ``max_iter`` steps."""
+    floor and no center moved by more than a fixed 1e-8 (not ``epsilon``;
+    :func:`~orkmc.model.center_drift`), or after ``max_iter`` steps."""
     k = hyper.k
     if data.n_views != 1:
         raise ConfigError("power K-means is a single-view algorithm")
@@ -159,7 +161,7 @@ def pkmeans_fit(data: MultiViewDataset, hyper: HyperParams) -> ClusterResult:
     for _ in range(hyper.max_iter):
         new_centers = power_mm_step(x, centers, s)
         trace.append(power_mean_objective(x, new_centers, s))
-        delta = float(np.linalg.norm(new_centers - centers))
+        delta = center_drift(new_centers - centers, (0,))
         centers = new_centers
         if delta <= 1e-8 and s == POWER_S_MIN:
             break

@@ -285,9 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="view-weight balance exponent (orkmc; at r <= 1 the view with "
                             "the smallest residual takes all the weight)")
         p.add_argument("--gamma", type=float, default=None,
-                       help="gradient step length (orkmc; default: automatic)")
+                       help="gradient step length (orkmc; default: 1 / the largest curvature "
+                            "of each row's objective along the simplex)")
         p.add_argument("--epsilon", type=float, default=HyperParams.epsilon,
-                       help="stop threshold (rkmc, orkmc, kmeans)")
+                       help="stop threshold on the largest move of one center within one "
+                            "view (rkmc, orkmc, kmeans)")
         p.add_argument("--chushi", "--init-size", dest="chushi", type=int, default=None,
                        help="initial batch size (orkmc, ogd, omu; default: max(k, n // 10))")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=HyperParams.max_iter,

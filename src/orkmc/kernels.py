@@ -14,7 +14,14 @@ has exactly one implementation here:
   terms ``c = 2 X W M'`` of the assignment rows' quadratic ``1/2 u' H u - c' u``,
   built on the stacked data ``X`` and centers ``M`` with the per-column view
   weights ``W = diag(w)``: about five numpy calls for any number of views.
-* :func:`pg_step` -- the projected-gradient step length ``1/lambda_max(H)``.
+* :func:`pg_step` -- the one projected-gradient step length,
+  ``1/lambda_max(Z' H Z)`` on the simplex's tangent space ``{v : sum(v) = 0}``
+  with its basis ``Z`` from ``_tangent_basis`` (built once per K), so a
+  constant offset of the data, which moves ``H`` only by terms ``Z``
+  annihilates, leaves the step alone.  Where ``Z' H Z`` has no curvature above
+  the rank test's floor (K = 1, identical centers at eta = 0) the step is
+  ``1/lambda_max(H)``.  ORKMC's arrivals and warm start and RKMC's face sweeps
+  all take it.
 * ``_pgd_rows`` -- a fixed number of projected-gradient sweeps on a batch of
   rows (ORKMC's per-arrival update; RKMC's face-finding start), each in the
   affine form ``u <- P(u A + b)`` with ``A = I - step H`` and ``b = step c``
@@ -29,7 +36,8 @@ has exactly one implementation here:
 * :func:`solve_ridge_normal` -- Cholesky solve of symmetric PSD normal
   equations.
 * ``_singular`` -- the one singularity rule of both solvers, a rank test
-  decided once per call before anything is factored.  A singular call solves
+  decided once per call before anything is factored; on the simplex it reads
+  the same ``Z' A Z`` as :func:`pg_step`.  A singular call solves
   every system by ``_ridge_solve`` and warns :class:`RidgeFallbackWarning`
   once; a regular call solves them exactly.
 * ``_ridge_solve`` -- the one ridge rule: ``RIDGE_DELTA`` on the diagonal,
@@ -60,6 +68,7 @@ with numpy 2.4), with the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -142,13 +151,49 @@ def assignment_qp(x: np.ndarray, m: np.ndarray, w: np.ndarray, eta: float) -> tu
     return h, x.dot(mw.T)
 
 
-def pg_step(h: np.ndarray) -> float:
-    """Projected-gradient step ``1 / lambda_max(H)`` for a symmetric PSD ``H``.
+@functools.lru_cache(maxsize=None)
+def _tangent_basis(k: int) -> np.ndarray:
+    """The read-only orthonormal basis ``Z`` (K x (K-1)) of ``{v : sum(v) = 0}``,
+    built once per K.
 
-    Each step with this length never increases the row objective.
+    ``Z`` is columns 2..K of the Householder reflector that maps ``e_1`` to
+    ``-1/sqrt(K)``, in closed form: columns 2..K of the identity minus
+    ``w 1'``, with ``w = (1/sqrt(K), q, ..., q)`` and ``q = 1/(K + sqrt(K))``.
     """
-    lmax = float(np.linalg.eigvalsh(h)[-1])
-    return 1.0 / max(lmax * (1.0 + 1e-12), _TINY)
+    w = np.full(k, 1.0 / (k + math.sqrt(k)))
+    w[0] = 1.0 / math.sqrt(k)
+    z = np.eye(k, k - 1, -1) - w[:, None]
+    z.flags.writeable = False
+    return z
+
+
+def _on_tangent(a: np.ndarray) -> np.ndarray:
+    """``Z' A Z``: the K x K matrix ``A`` restricted to ``{v : sum(v) = 0}``."""
+    z = _tangent_basis(a.shape[0])
+    return z.T.dot(a).dot(z)
+
+
+def _curvature_floor(a: np.ndarray) -> float:
+    """The rank test's curvature floor for a symmetric PSD ``A``: ``K eps ||A||_F``
+    (the bits of ``np.linalg.norm``, without its 1.5 us of argument checks)."""
+    return a.shape[0] * _EPS * math.sqrt(a.ravel().dot(a.ravel()))
+
+
+def pg_step(h: np.ndarray) -> float:
+    """Projected-gradient step ``1 / lambda_max(Z' H Z)`` for a symmetric PSD
+    ``H``, with ``Z`` the basis of ``{v : sum(v) = 0}`` (:func:`_tangent_basis`).
+
+    Successive simplex iterates differ only inside that subspace, so each step
+    of this length never increases the row objective, and the step does not
+    move when the data and centers are shifted by one vector (the shift adds
+    ``a 1' + 1 a'`` terms to ``H``, which ``Z`` annihilates).  Where ``Z' H Z``
+    has no curvature above :func:`_singular`'s floor ``K eps ||H||_F`` (K = 1,
+    or identical centers at eta = 0) the step is ``1 / lambda_max(H)``.
+    """
+    lam = np.linalg.eigvalsh(_on_tangent(h))
+    if not (lam.size and lam[-1] > _curvature_floor(h)):
+        lam = np.linalg.eigvalsh(h)
+    return 1.0 / max(float(lam[-1]) * (1.0 + 1e-12), _TINY)
 
 
 def _pgd_rows(u0: np.ndarray, h: np.ndarray, c: np.ndarray, step: float, sweeps: int) -> tuple:
@@ -187,8 +232,9 @@ def _singular(a: np.ndarray, simplex: bool) -> bool:
     """Whether ``min 1/2 x' A x - b' x`` (subject to ``sum(x) = 1`` when
     ``simplex``) fails to be strictly convex to rounding, for symmetric PSD
     ``A``: the smallest eigenvalue of ``A``, or on the simplex of ``Z' A Z``
-    for an orthonormal basis ``Z`` of ``{v : sum(v) = 0}``, is at most
-    ``K eps ||A||_F``.
+    for the basis ``Z`` of ``{v : sum(v) = 0}`` (``_on_tangent``, the
+    restriction :func:`pg_step` reads), is at most ``K eps ||A||_F``
+    (``_curvature_floor``).
 
     When it is not, every system built from ``A`` is nonsingular: each
     principal submatrix of a PD ``A``, and each face's KKT matrix when
@@ -196,20 +242,9 @@ def _singular(a: np.ndarray, simplex: bool) -> bool:
     ``m_2 = 2 m_1``) while every KKT matrix is regular, hence the projection.
     The bound scales with ``A``, never with the projection, which is 1 x 1 at
     K = 2.
-
-    ``Z`` is columns 2..K of the Householder reflector that maps ``e_1`` to
-    ``-1/sqrt(K)``, in closed form: columns 2..K of the identity minus
-    ``w 1'``, with ``w = (1/sqrt(K), q, ..., q)`` and ``q = 1/(K + sqrt(K))``.
     """
-    k = a.shape[0]
-    a_eff = a
-    if simplex:
-        w = np.full(k, 1.0 / (k + math.sqrt(k)))
-        w[0] = 1.0 / math.sqrt(k)
-        z = np.eye(k, k - 1, -1) - w[:, None]
-        a_eff = z.T @ a @ z
-    lam = np.linalg.eigvalsh(a_eff)
-    return lam.size > 0 and lam[0] <= k * _EPS * np.linalg.norm(a)
+    lam = np.linalg.eigvalsh(_on_tangent(a) if simplex else a)
+    return lam.size > 0 and lam[0] <= _curvature_floor(a)
 
 
 def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int, ridge: bool) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -196,9 +197,16 @@ class CenterSet:
 class HyperParams:
     """Solver hyperparameters, named after the original interface.
 
-    ``gamma=None`` selects an automatic per-row step length (the inverse of
-    the largest eigenvalue of the row Hessian); an explicit positive value is
-    used verbatim.  ``chushi`` is the initial batch size of the online
+    ``gamma=None`` selects the automatic step length of ORKMC's
+    projected-gradient sweeps, :func:`~orkmc.kernels.pg_step`: the inverse of
+    the largest eigenvalue of the row Hessian restricted to the simplex's
+    tangent space ``{v : sum(v) = 0}``, so a constant offset of the data
+    leaves it alone.  Where the Hessian has no curvature there (k = 1, or
+    identical centers at eta = 0) it is the inverse of the Hessian's own
+    largest eigenvalue.  An explicit positive value is used verbatim.
+    ``epsilon`` bounds the largest move of one center within one view
+    (:func:`center_drift`): RKMC and Lloyd stop, and ORKMC freezes its
+    centers, once an update moves no center by more.  ``chushi`` is the initial batch size of the online
     solvers (orkmc, ogd, omu); ``None`` means ``max(k, n // 10)`` of n
     samples (:func:`with_initial_batch`).  ``r`` is the view-weight balance
     exponent: the online objective weights view v by ``alpha_v ** r``.  Its
@@ -369,6 +377,14 @@ def view_residuals(x: np.ndarray, u: np.ndarray, m: np.ndarray, starts) -> np.nd
     if r.ndim == 2:
         r = r.sum(axis=0)
     return np.add.reduceat(r, starts)
+
+
+def center_drift(d: np.ndarray, starts) -> float:
+    """The largest norm of one center's move within one view, from the move
+    ``d`` of the stacked centers (K x sum(J_v), or 1-D for one center) with
+    view v's columns beginning at ``starts[v]``.  Every stop and freeze rule
+    compares this against ``HyperParams.epsilon``."""
+    return math.sqrt(float(np.add.reduceat(d * d, starts, axis=-1).max()))
 
 
 def objective_rkmc(

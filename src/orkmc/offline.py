@@ -47,6 +47,7 @@ from .model import (
     ClusterResult,
     HyperParams,
     MultiViewDataset,
+    center_drift,
     fit_result,
     objective_rkmc,
 )
@@ -128,9 +129,7 @@ def _fit_once(data: MultiViewDataset, hyper: HyperParams, m: CenterSet) -> dict:
     converged = False
     for _ in range(hyper.max_iter):
         m_new = update_M(data, u, prev=m)
-        delta = max(
-            float(np.linalg.norm(a - b)) for a, b in zip(m_new.centers, m.centers)
-        )
+        delta = center_drift(m_new.stacked - m.stacked, m.starts)
         m = m_new
         u = update_U(data, m, u, hyper.eta)
         trace.append(objective_rkmc(data, u, m, hyper.eta))

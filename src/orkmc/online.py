@@ -15,8 +15,8 @@ An arrival is one stacked row, its sum(J_v) values in view order as in
 on it and on the centers' K x sum(J_v) block (``CenterSet.stacked``): the
 row QP in O(K^2 sum(J_v)) by one :func:`~orkmc.kernels.assignment_qp`,
 n_grad sweeps at O(K^2) each, one residual reduced per view and one move of
-the winning row.  Outside the sweeps an arrival makes about 35 small numpy
-calls (25 once the centers are frozen), for any number of views.
+the winning row.  Outside the sweeps an arrival makes about 40 small numpy
+calls (30 once the centers are frozen), for any number of views.
 
 An :class:`OnlineState` is single-writer: steps mutate it sequentially in
 arrival order.  Distinct states may run in parallel.
@@ -41,6 +41,7 @@ from .model import (
     MultiViewDataset,
     _sq_norm,
     _view_of_column,
+    center_drift,
     fit_result,
     view_residuals,
     with_initial_batch,
@@ -166,8 +167,7 @@ def orkmc_init(data: MultiViewDataset, hyper: HyperParams) -> OnlineState:
         u, _, _ = _pgd_rows(np.full((t0, k), 1.0 / k), h, c, step, state.n_grad)
         hard = np.argmax(u, axis=1)
         means = cluster_means(x, hard, k, m)
-        d = means - m
-        drift = math.sqrt(float(np.add.reduceat(d * d, centers.starts, axis=1).max()))
+        drift = center_drift(means - m, centers.starts)
         m[:] = means
         if drift <= hyper.epsilon:
             break
@@ -194,12 +194,13 @@ def orkmc_step(state: OnlineState, x: np.ndarray) -> OnlineState:
     uniform row; its hard label k* is counted and, unless the state is
     frozen, row k* of the centers moves toward the sample by the running-mean
     step and the view weights are refreshed.  Only row k* moves, so the
-    step's drift is the largest norm of that row's move over the views; a
-    drift of at most ``epsilon`` freezes the state (``frozen_at = t``), and
+    step's drift (:func:`~orkmc.model.center_drift`) is the largest norm of
+    that row's move over the views; a drift of at most ``epsilon`` freezes the state (``frozen_at = t``), and
     every later arrival is assigned and counted against fixed centers and
-    weights.  At K = 5 and two views of 10 (77 us an arrival, 2-core x86,
-    one BLAS thread) the ten sweeps take about half of it, ``pg_step`` and
-    the QP build 8 % each, the weights, residual and row check 2-4 % each.
+    weights.  At K = 5 and two views of 10 (85-88 us an arrival, 2-core
+    x86-64, one BLAS thread, numpy 2.4) the ten sweeps take about half of
+    it, ``pg_step`` 11-12 % (its tangent-space eigenvalues), the QP build
+    7-13 %, and the weights, residual, drift and row check 2-4 % each.
 
     When the warm-start batch was nonnegative the moved row is clamped at
     zero: its move is raised to at least ``-old``.  On nonnegative arrivals
@@ -238,10 +239,8 @@ def orkmc_step(state: OnlineState, x: np.ndarray) -> OnlineState:
             # row + max(move, -row) is exactly max(row + move, 0).
             np.maximum(move, -row, out=move)
         row += move
-        move *= move
-        drift = math.sqrt(float(np.add.reduceat(move, centers.starts).max()))
         state.weights = weights_from_residuals(state.resid_sums, hyper.r)
-        if drift <= hyper.epsilon:
+        if center_drift(move, centers.starts) <= hyper.epsilon:
             state.frozen_at = state.t
     return state
 

@@ -11,10 +11,12 @@ import oracles
 from orkmc.errors import RidgeFallbackWarning, ValidationError
 from orkmc.kernels import (
     _active_set,
+    _pgd_rows,
     _project,
     _solve_kkt,
     assignment_qp,
     nnls,
+    pg_step,
     project_simplex,
     solve_ridge_normal,
 )
@@ -156,6 +158,54 @@ class TestSolveRowQP:
             u = solve_row(h, c, u0)
             f = lambda v: 0.5 * v @ h @ v - c @ v
             assert f(u) <= f(u0) + 1e-12
+
+
+class TestStepRule:
+    def test_step_is_the_inverse_curvature_on_the_tangent_space(self):
+        # P = I - 11'/K projects onto {sum(v) = 0}; P H P has the eigenvalues
+        # of H restricted there, plus a zero along 1.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            k = int(rng.integers(2, 9))
+            h, _ = random_pd_qp(rng, k)
+            p = np.eye(k) - 1.0 / k
+            want = 1.0 / np.linalg.eigvalsh(p @ h @ p)[-1]
+            assert pg_step(h) == pytest.approx(want, rel=1e-12)
+            assert pg_step(h) >= 1.0 / np.linalg.eigvalsh(h)[-1]
+
+    def test_step_ignores_the_terms_an_offset_adds(self):
+        # Shifting the data and every center by b adds a 1' + 1 a' to H, with
+        # a = 2 M W b + (b' W b) 1: constant or linear on the simplex.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            k, j = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            m = rng.normal(size=(k, j)) * 3
+            w = rng.uniform(0.1, 1.0, size=j)
+            eta = float(rng.uniform(0.0, 2.0))
+            h, _ = assignment_qp(np.zeros(j), m, w, eta)
+            b = rng.normal(size=j) * rng.choice([5.0, 50.0, 500.0])
+            h_b, _ = assignment_qp(np.zeros(j), m + b, w, eta)
+            a = rng.normal(size=k) * 1e3
+            for shifted in (h_b, h + a[:, None] + a[None, :]):
+                assert pg_step(shifted) == pytest.approx(pg_step(h), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.array([[0.5, -2.0]]), np.array([[1.0, 2.0, -1.0]] * 3)],
+        ids=["k1", "identical-centers"],
+    )
+    def test_step_without_tangent_curvature_is_finite(self, m):
+        # K = 1 has no tangent space, and identical centers at eta = 0 give
+        # Z'HZ = 0: the step falls back to 1/lambda_max(H).
+        x = np.array([[0.3, 1.0, -0.5][: m.shape[1]], [2.0, -1.0, 0.5][: m.shape[1]]])
+        h, c = assignment_qp(x, m, np.ones(m.shape[1]), 0.0)
+        step = pg_step(h)
+        assert step == pytest.approx(1.0 / np.linalg.eigvalsh(h)[-1], rel=1e-12)
+        k = m.shape[0]
+        for u0, ci in ((np.full((2, k), 1.0 / k), c), (np.full(k, 1.0 / k), c[0])):
+            u, _, _ = _pgd_rows(u0, h, ci, step, 10)
+            assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
+            np.testing.assert_allclose(u.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
 class TestRidgeFallback:

@@ -170,16 +170,19 @@ class TestStep:
             assert validate(state) == []
 
     def test_single_pg_step_never_increases_row_objective(self):
+        # Also on data and centers shifted by one offset per view, which the
+        # row objective ignores on the simplex but which inflates H.
         rng = np.random.default_rng(8)
         for _ in range(500):
             k = int(rng.integers(2, 5))
             j = int(rng.integers(1, 4))
             v = int(rng.integers(1, 3))
-            ms = [rng.normal(size=(k, j)) for _ in range(v)]
+            offsets = [rng.normal(size=j) * rng.choice([0.0, 5.0, 50.0]) for _ in range(v)]
+            ms = [rng.normal(size=(k, j)) + b for b in offsets]
             alpha = rng.dirichlet(np.ones(v))
             r = float(rng.uniform(0.3, 3.0))
             eta = float(rng.uniform(0.0, 2.0))
-            x = [rng.normal(size=j) * 2 for _ in range(v)]
+            x = [rng.normal(size=j) * 2 + b for b in offsets]
             u = rng.dirichlet(np.ones(k))
             a = alpha ** r
             b = sum(av * (m @ m.T) for av, m in zip(a, ms))
