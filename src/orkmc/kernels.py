@@ -40,8 +40,8 @@ has exactly one implementation here:
   the same ``Z' A Z`` as :func:`pg_step`.  A singular call solves
   every system by ``_ridge_solve`` and warns :class:`RidgeFallbackWarning`
   once; a regular call solves them exactly.
-* ``_ridge_solve`` -- the one ridge rule: ``RIDGE_DELTA`` on the diagonal,
-  then one refinement step against the unregularized system.
+* ``_ridge_solve`` -- the one ridge rule: ``RIDGE_DELTA max|A|`` on the
+  diagonal, then one refinement step against the unregularized system.
 * :func:`nnls` -- nonnegative least squares ``argmin_{m>=0} ||A m - b||``
   for one or many right-hand sides, in Gram form through ``_active_set``.
 * :func:`sq_dists` -- squared Euclidean distances from rows to centers.  The
@@ -76,8 +76,8 @@ import numpy as np
 
 from .errors import ConvergenceWarning, DimensionError, RidgeFallbackWarning, ValidationError
 
+# The exact solvers' ridge and KKT multiplier tolerance, relative to the system's size.
 RIDGE_DELTA = 1e-10
-# Multiplier tolerance of the exact solvers' KKT conditions.
 KKT_TOL = 1e-10
 # The active-set kernel gives up (with a ConvergenceWarning) after this many
 # rounds per coordinate; exact termination takes far fewer.
@@ -215,14 +215,14 @@ def _pgd_rows(u0: np.ndarray, h: np.ndarray, c: np.ndarray, step: float, sweeps:
     return u, False, sweeps
 
 
-def _ridge_solve(a: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
-    """Solve ``a x = rhs`` (or a stack of such systems) with ``RIDGE_DELTA``
-    added to the first ``k`` diagonal entries, then take one refinement step
-    against the unregularized ``a``, which removes the ridge's first-order
-    bias from the solution."""
+def _ridge_solve(a: np.ndarray, rhs: np.ndarray, k: int, delta: float) -> np.ndarray:
+    """Solve ``a x = rhs`` (or a stack of such systems) with ``delta`` (the
+    callers' ``RIDGE_DELTA max|a|``) added to the first ``k`` diagonal
+    entries, then take one refinement step against the unregularized ``a``,
+    which removes the ridge's first-order bias from the solution."""
     ridged = a.copy()
     diag = np.arange(k)
-    ridged[..., diag, diag] += RIDGE_DELTA
+    ridged[..., diag, diag] += delta
     x = np.linalg.solve(ridged, rhs)
     x += np.linalg.solve(ridged, rhs - a @ x)
     return x
@@ -247,13 +247,13 @@ def _singular(a: np.ndarray, simplex: bool) -> bool:
     return lam.size > 0 and lam[0] <= _curvature_floor(a)
 
 
-def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int, ridge: bool) -> np.ndarray:
+def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, k: int, delta: float) -> np.ndarray:
     """Solve the KKT systems of the rows of ``rhs``: ``kkt`` is one matrix
     that every row shares (one factorization, all rows as right-hand sides)
-    or a stack with one matrix per row; ``ridge`` selects :func:`_ridge_solve`
-    on the ``A`` block over ``np.linalg.solve``."""
+    or a stack with one matrix per row; ``delta > 0`` is :func:`_ridge_solve`'s
+    ridge on the ``A`` block, 0 the exact ``np.linalg.solve``."""
     r = rhs.T if kkt.ndim == 2 else rhs[..., None]
-    z = _ridge_solve(kkt, r, k) if ridge else np.linalg.solve(kkt, r)
+    z = _ridge_solve(kkt, r, k, delta) if delta else np.linalg.solve(kkt, r)
     return z.T if kkt.ndim == 2 else z[..., 0]
 
 
@@ -275,20 +275,24 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> 
     A row whose solution leaves the orthant steps back to the first blocking
     coordinate and fixes it at zero (Lawson-Hanson interpolation); a row at
     its face optimum frees its most negative multiplier, or stops once every
-    multiplier is at least ``-KKT_TOL`` (widened to the rounding level of the
-    data).  Every round is a descent step, so no row ends above its start.
-    When :func:`_singular` finds ``A`` singular (duplicate centers at eta = 0,
+    multiplier is at least ``-KKT_TOL max(max|A| max|x|, max|b|)`` over the
+    round's face optima ``x``: a bound in the multipliers' own units.  Every
+    round is a descent step, so no row ends above its start.  When
+    :func:`_singular` finds ``A`` singular (duplicate centers at eta = 0,
     identical Gram columns), every system of the call takes the ridge rule
     and one :class:`RidgeFallbackWarning` is emitted.
     """
     n, k = b.shape
-    ridge = _singular(a, simplex)
-    if ridge:
-        warnings.warn(
-            f"singular QP; applying ridge fallback (delta={RIDGE_DELTA})",
-            RidgeFallbackWarning,
-            stacklevel=2,
-        )
+    amax = float(np.abs(a).max(initial=0.0))
+    delta = 0.0
+    if _singular(a, simplex):
+        # A power of two puts max|A| in [0.5, 1), so the simplex row's unit border
+        # pivots alike, and the ridge picks alike among ties, at every data scale.
+        s = math.ldexp(1.0, -math.frexp(amax)[1])
+        a, b, amax = a * s, b * s, amax * s
+        delta = RIDGE_DELTA * (amax or 1.0)
+        msg = f"singular QP; applying ridge fallback (delta={delta / s:.3g})"
+        warnings.warn(msg, RidgeFallbackWarning, stacklevel=2)
     x = np.array(x0, dtype=np.float64)
     free = x > 0
     d = k + 1 if simplex else k
@@ -296,8 +300,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> 
     base[:k, :k] = a
     if simplex:
         base[:k, k] = base[k, :k] = 1.0
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    tol = max(KKT_TOL, 1e3 * _EPS * scale)
+    bmax = float(np.abs(b).max(initial=0.0))
     pending = np.ones(n, dtype=bool)
     for _ in range(MAX_ROUNDS_PER_DIM * (k + 1)):
         rows = np.flatnonzero(pending)
@@ -312,7 +315,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> 
         part = ~full
         z = np.empty_like(rhs)
         if full.any():
-            z[full] = _solve_kkt(base, rhs[full], k, ridge)
+            z[full] = _solve_kkt(base, rhs[full], k, delta)
         if part.any():
             fp = f[part]
             fm = np.ones((fp.shape[0], d))
@@ -321,7 +324,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> 
             kkt *= base
             # A fixed coordinate's row and column are zero but for a unit diagonal.
             kkt.reshape(fp.shape[0], -1)[:, : k * (d + 1) : d + 1] += ~fp
-            z[part] = _solve_kkt(kkt, rhs[part], k, ridge)
+            z[part] = _solve_kkt(kkt, rhs[part], k, delta)
         zx = np.where(f, z[:, :k], 0.0)
 
         # Rows that leave the orthant: step back to the first blocking coordinate.
@@ -349,7 +352,7 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> 
                 lam += z[opt, k:]
             lam[f[opt]] = np.inf
             j = lam.argmin(axis=1)
-            add = lam[np.arange(ro.size), j] < -tol
+            add = lam[np.arange(ro.size), j] < -KKT_TOL * max(amax * np.abs(zo).max(), bmax)
             x[ro] = zo
             free[ro[add], j[add]] = True
             pending[ro[~add]] = False
@@ -367,14 +370,13 @@ def _active_set(a: np.ndarray, b: np.ndarray, x0: np.ndarray, simplex: bool) -> 
 def solve_ridge_normal(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``G x = rhs`` for symmetric PSD ``G`` by Cholesky.  When
     :func:`_singular` finds ``G`` singular, the solve takes the ridge rule
-    (:func:`_ridge_solve`) instead and warns :class:`RidgeFallbackWarning`."""
+    (:func:`_ridge_solve`, ``RIDGE_DELTA max|G|``) instead and warns
+    :class:`RidgeFallbackWarning`."""
     if _singular(g, False):
-        warnings.warn(
-            f"singular normal equations; applying ridge fallback (delta={RIDGE_DELTA})",
-            RidgeFallbackWarning,
-            stacklevel=2,
-        )
-        return _ridge_solve(g, rhs, g.shape[0])
+        delta = RIDGE_DELTA * (float(np.abs(g).max(initial=0.0)) or 1.0)
+        msg = f"singular normal equations; applying ridge fallback (delta={delta:.3g})"
+        warnings.warn(msg, RidgeFallbackWarning, stacklevel=2)
+        return _ridge_solve(g, rhs, g.shape[0], delta)
     cf = np.linalg.cholesky(g)
     y = np.linalg.solve(cf, rhs)
     return np.linalg.solve(cf.T, y)
@@ -387,10 +389,10 @@ def nnls(a, b, start=None) -> np.ndarray:
     All columns share the Gram matrix ``A'A`` and are solved together by the
     batched active-set kernel, warm-started from ``start`` (same shape as the
     result, nonnegative; zeros by default).  At the solution ``m >= 0``,
-    ``g = A'(A m - b) >= -KKT_TOL`` and ``g = 0`` wherever ``m > 0``.  When
-    ``_singular`` finds ``A'A`` singular (identical columns of ``A``), every
-    system of the call takes the ``RIDGE_DELTA`` rule and one
-    :class:`RidgeFallbackWarning` is emitted.
+    ``g = A'(A m - b) >= -KKT_TOL max(max|A'A| max|m|, max|A'b|)`` and
+    ``g = 0`` wherever ``m > 0``.  When ``_singular`` finds ``A'A`` singular
+    (identical columns of ``A``), every system of the call takes the ridge
+    rule and one :class:`RidgeFallbackWarning` is emitted.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

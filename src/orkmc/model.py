@@ -206,9 +206,12 @@ class HyperParams:
     largest eigenvalue.  An explicit positive value is used verbatim.
     ``epsilon`` bounds the largest move of one center within one view
     (:func:`center_drift`): RKMC and Lloyd stop, and ORKMC freezes its
-    centers, once an update moves no center by more.  ``chushi`` is the initial batch size of the online
-    solvers (orkmc, ogd, omu); ``None`` means ``max(k, n // 10)`` of n
-    samples (:func:`with_initial_batch`).  ``r`` is the view-weight balance
+    centers, once an update moves no center by more.  Data scaled by c is
+    fitted alike with ``epsilon c``, ``eta c^2`` and ``gamma / c^2``: epsilon
+    is in the data's units, eta in squared and gamma in inverse squared ones.
+    ``chushi`` is the initial batch size of the online solvers (orkmc, ogd,
+    omu); ``None`` means ``max(k, n // 10)`` of n samples
+    (:func:`with_initial_batch`).  ``r`` is the view-weight balance
     exponent: the online objective weights view v by ``alpha_v ** r``.  Its
     default, 2, keeps every view in play; at ``r <= 1`` the weight refresh
     puts all the weight on the view with the smallest residual
@@ -476,6 +479,6 @@ def validate(obj) -> list:
     if obj.metadata.get("algorithm") == "rkmc":
         trace = obj.objective_trace
         for i in range(1, len(trace)):
-            if not trace[i] <= trace[i - 1] + 1e-9:
+            if not trace[i] <= trace[i - 1] + 1e-12 * abs(trace[i - 1]):
                 out.append(("objective-trace", int(i)))
     return out

@@ -208,13 +208,16 @@ def nnls_kkt(g, b, x):
     return primal, dual, comp
 
 
-def active_set_stacked(a, b, x0, simplex, tol, ridge_delta=1e-10, rounds_per_dim=10):
+def active_set_stacked(a, b, x0, simplex, tol, ridge_delta, rounds_per_dim=10):
     """The batched active-set kernel with one stacked KKT matrix per pending
     row in every round, full-support rows included: the form the package's
     ``kernels._active_set`` had before full-support rows shared one
     factorization of the base system.  Kept verbatim (with its own ridge
     fallback, which warns ``RidgeFallbackWarning``) as the reference the split
-    kernel must agree with."""
+    kernel must agree with.  ``tol`` and ``ridge_delta`` are relative, as in
+    the kernel: a round's multipliers stop at ``-tol max(max|A| max|x|,
+    max|b|)`` over its face optima ``x``, and the ridge is ``ridge_delta
+    max|A|`` (``ridge_delta`` for an all-zero ``A``)."""
     import warnings
 
     from orkmc.errors import ConvergenceWarning, RidgeFallbackWarning
@@ -222,7 +225,7 @@ def active_set_stacked(a, b, x0, simplex, tol, ridge_delta=1e-10, rounds_per_dim
     def ridge_solve(m, rhs, k):
         ridged = m.copy()
         diag = np.arange(k)
-        ridged[..., diag, diag] += ridge_delta
+        ridged[..., diag, diag] += ridge_delta * (amax or 1.0)
         x = np.linalg.solve(ridged, rhs)
         x += np.linalg.solve(ridged, rhs - m @ x)
         return x
@@ -247,8 +250,8 @@ def active_set_stacked(a, b, x0, simplex, tol, ridge_delta=1e-10, rounds_per_dim
     base[:k, :k] = a
     if simplex:
         base[:k, k] = base[k, :k] = 1.0
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    tol = max(tol, 1e3 * np.finfo(float).eps * scale)
+    amax = float(np.abs(a).max(initial=0.0))
+    bmax = float(np.abs(b).max(initial=0.0))
     pending = np.ones(n, dtype=bool)
     for _ in range(rounds_per_dim * (k + 1)):
         rows = np.flatnonzero(pending)
@@ -288,7 +291,7 @@ def active_set_stacked(a, b, x0, simplex, tol, ridge_delta=1e-10, rounds_per_dim
                 lam += z[opt, k:]
             lam[f[opt]] = np.inf
             j = lam.argmin(axis=1)
-            add = lam[np.arange(ro.size), j] < -tol
+            add = lam[np.arange(ro.size), j] < -tol * max(amax * np.abs(zo).max(), bmax)
             x[ro] = zo
             free[ro[add], j[add]] = True
             pending[ro[~add]] = False

@@ -286,6 +286,21 @@ class TestValidate:
         )
         assert ("objective-trace", 2) in validate(res)
 
+    @pytest.mark.parametrize(
+        "trace, flagged",
+        [((1e-10, 5e-10), True), ((1e12, 1e12 + 1e-3), False)],
+        ids=["fivefold-rise-at-small-scale", "rounding-wobble-at-large-scale"],
+    )
+    def test_trace_monotonicity_is_relative_to_the_objective(self, trace, flagged):
+        # A step may rise by rounding only: 1e-12 of the previous objective,
+        # whatever the data's units.
+        res = make_result(
+            [[1.0, 0.0], [0.0, 1.0]], [np.eye(2)],
+            objective_trace=trace,
+            metadata={"algorithm": "rkmc"},
+        )
+        assert (("objective-trace", 1) in validate(res)) == flagged
+
     # NaN compares False with every tolerance, so each of these once passed.
     def test_nan_assignment_entry_reported(self):
         res = make_result([[np.nan, 1.0], [0.0, 1.0]], [np.eye(2)])

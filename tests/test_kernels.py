@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from orkmc.errors import RidgeFallbackWarning, ValidationError
 from orkmc.kernels import (
+    RIDGE_DELTA,
     _active_set,
     _pgd_rows,
     _project,
@@ -215,16 +216,22 @@ class TestRidgeFallback:
             x = solve_ridge_normal(g, np.array([1.0, 1.0]))
         assert np.all(np.isfinite(x))
 
+    def test_zero_system_takes_a_unit_ridge(self):
+        # G = 0 has no scale to take the ridge from: it is RIDGE_DELTA itself.
+        with pytest.warns(RidgeFallbackWarning):
+            x = solve_ridge_normal(np.zeros((2, 2)), np.zeros(2))
+        np.testing.assert_array_equal(x, 0.0)
+
     def test_singular_kkt_stack_is_solved_without_ridge_bias(self):
         kkt = np.array([[[4.0, 4.0], [4.0, 4.0]], [[2.0, 0.0], [0.0, 3.0]]])
         rhs = np.array([[2.0, 2.0], [2.0, 3.0]])  # the singular system is consistent
-        z = _solve_kkt(kkt, rhs, 2, True)
+        z = _solve_kkt(kkt, rhs, 2, RIDGE_DELTA * 4.0)  # the ridge for max|A| = 4
         np.testing.assert_allclose(np.einsum("nij,nj->ni", kkt, z), rhs, rtol=0, atol=1e-14)
 
     def test_singular_shared_kkt_is_solved_for_every_row(self):
         kkt = np.array([[4.0, 4.0], [4.0, 4.0]])
         rhs = np.array([[2.0, 2.0], [1.0, 1.0]])  # consistent right-hand sides
-        z = _solve_kkt(kkt, rhs, 2, True)
+        z = _solve_kkt(kkt, rhs, 2, RIDGE_DELTA * 4.0)
         np.testing.assert_allclose(z @ kkt.T, rhs, rtol=0, atol=1e-14)
 
     def test_regular_ill_conditioned_problems_take_the_exact_path(self):
@@ -323,3 +330,14 @@ class TestNnls:
             ls, *_ = np.linalg.lstsq(a, b, rcond=None)
             clamped = np.maximum(ls, 0.0)
             assert np.sum((a @ x - b) ** 2) <= np.sum((a @ clamped - b) ** 2) + 1e-10
+
+    @pytest.mark.parametrize("c", [2.0**-40, 2.0**40])
+    def test_solution_scales_with_b(self, c):
+        # The multipliers A'(Am - b) are in b's units, and so is the stop
+        # rule: b x c gives exactly c x the solution.  With a stop rule in
+        # A'A's units, b x 2^-40 ended at the zero start.
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            a = rng.normal(size=(8, 4))
+            b = rng.normal(size=8)
+            np.testing.assert_array_equal(nnls(a, b * c), nnls(a, b) * c)

@@ -1,6 +1,7 @@
 """Offline solver: monotonicity, Lloyd reduction, update oracles, determinism."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,51 @@ class TestSingularKktFallback:
             u = update_U(data, CenterSet((m,)), None, eta=0.0)
         assert np.all(u >= 0.0)
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_ridge_fit_scales_with_the_data(self):
+        # K - 1 > sum(J) at eta = 0 leaves Z'HZ singular, so every U-step takes
+        # the ridge.  The ridge is relative to max|H|, and the system is scaled
+        # by a power of two before it is factored, so data x 2^10 (epsilon x
+        # 2^10) gives the same fit.  An absolute 1e-10 ridge vanished against
+        # entries near 1e6, and the ridged KKT matrix was singular.
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(40, 2))
+        c = 2.0**10
+        hyper = HyperParams(k=4, eta=0.0, max_iter=20, seed=0)
+        with pytest.warns(RidgeFallbackWarning):
+            res = rkmc_fit(MultiViewDataset(views=(x,)), hyper)
+            scaled = replace(hyper, epsilon=hyper.epsilon * c)
+            res_s = rkmc_fit(MultiViewDataset(views=(x * c,)), scaled)
+        np.testing.assert_array_equal(res_s.labels, res.labels)
+        want = c * c * res.objective_trace[-1]
+        assert res_s.objective_trace[-1] == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_identical_centers_at_small_scale_reach_the_row_optimum(self):
+        # Two identical centers at eta = 0 take the ridge.  At data x 2^-20
+        # the entries of H are near 1e-12, where an absolute 1e-10 ridge
+        # outweighed H and moved the rows off their optimum.
+        rng = np.random.default_rng(23)
+        c = 2.0**-20
+        x = rng.normal(size=(12, 2))
+        m = rng.normal(size=(3, 2))
+        m[1] = m[0]
+        with pytest.warns(RidgeFallbackWarning):
+            u = update_U(MultiViewDataset(views=(x * c,)), CenterSet((m * c,)), None, eta=0.0)
+        # U is unitless: score it on the unscaled rows' QPs.
+        h, ci = assignment_qp(x, m, np.ones(2), 0.0)
+        scale = max(np.abs(h).max(), np.abs(ci).max())
+        for row, b in zip(u, ci):
+            _, best = oracles.row_qp_enum(h, b)
+            assert 0.5 * row @ h @ row - b @ row == pytest.approx(best, rel=0, abs=1e-12 * scale)
+
+    @pytest.mark.filterwarnings("ignore::orkmc.errors.DataWarning")
+    def test_all_zero_data_takes_a_unit_ridge(self):
+        # All-zero data at eta = 0 gives H = 0, a system with no scale: its
+        # ridge is RIDGE_DELTA itself, since a ridge of 0 leaves it singular.
+        data = MultiViewDataset(views=(np.zeros((6, 2)),))
+        with pytest.warns(RidgeFallbackWarning):
+            res = rkmc_fit(data, HyperParams(k=2, eta=0.0, max_iter=3))
+        assert np.all(np.isfinite(res.assignment)) and res.objective_trace[-1] == 0.0
 
     def test_identical_live_columns_in_nnls(self):
         rng = np.random.default_rng(22)
